@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError
 from .mesh import MeshSequence, frame_difference_norms, require_same_shape
@@ -106,45 +107,53 @@ class LossReport:
 
 # -- windowed motion energy --------------------------------------------------
 
-
-def _clamp_bounds(frame: int, sigma: int, num_frames: int) -> tuple[int, int]:
-    # Difference j covers the step from frame j to j+1; clamp the window's
-    # endpoints into the feasible difference range so it is never empty.
-    lo = min(max(frame - sigma - 1, 0), num_frames - 2)
-    hi = min(max(frame + sigma - 1, 0), num_frames - 2)
-    return lo, hi
+_GATHER_ELEMENTS = 1 << 20  # 8 MB of float64 per gathered block of windows
 
 
-def _strict_bounds(frame: int, sigma: int, num_frames: int) -> tuple[int, int]:
-    if not sigma <= frame <= num_frames - 1 - sigma:
-        raise ConstraintError(
-            f"strict policy defines frame {frame} only for "
-            f"{sigma} <= frame <= {num_frames - 1 - sigma} (sigma={sigma}, T={num_frames})"
-        )
-    hi = frame + sigma - 1
-    if hi < 0:
-        raise ConstraintError(
-            f"strict window around frame {frame} contains no frame difference "
-            f"(sigma={sigma}); the first difference needs a prior frame"
-        )
-    return max(frame - sigma - 1, 0), hi
+def _window_energies(diffs: np.ndarray, sigma: int) -> np.ndarray:
+    """CLAMP-policy energy of every frame 0..T-1, from the T-1 step norms.
+
+    Difference j covers the step from frame j to j+1. Frame f's window spans
+    differences f-sigma-1 .. f+sigma-1 with both ends clamped into the
+    feasible range [0, T-2], so it is never empty. Each energy is the exact
+    sum of its slice divided by the slice length; running-sum differences
+    would lose precision to cancellation on long tracks.
+    """
+    last = len(diffs) - 1
+    frames = np.arange(last + 2)
+    lo = np.clip(frames - sigma - 1, 0, last)
+    count = np.clip(frames + sigma - 1, 0, last) - lo + 1
+    width = min(2 * sigma + 1, len(diffs))  # no clamped window is longer
+    view = sliding_window_view(np.concatenate([diffs, np.zeros(width - 1)]), width)
+    sums = np.empty(len(frames))
+    # Gather in row blocks so a radius near T cannot allocate a (T, T) array;
+    # at the usual radii the whole track is one block.
+    rows = max(_GATHER_ELEMENTS // width, 1)
+    for first in range(0, len(frames), rows):
+        block = view[lo[first : first + rows]]
+        block[np.arange(width) >= count[first : first + rows, None]] = 0.0
+        sums[first : first + rows] = block.sum(axis=1)
+    return sums / count
 
 
 def motion_energy(gt: MeshSequence, frame: int, window: WindowSpec = WindowSpec()) -> float:
     """Mean squared frame-to-frame displacement in a window around `frame`.
 
-    `frame` is 0-based. Requires T >= 2. Under STRICT, `frame` must satisfy
-    sigma <= frame <= T-1-sigma.
+    `frame` is 0-based. Requires T >= 2. Under STRICT, `frame` must lie in
+    strict_frame_range(sigma, T).
     """
     diffs = frame_difference_norms(gt)
     num_frames = len(diffs) + 1
     if not 0 <= frame < num_frames:
         raise ConstraintError(f"frame {frame} out of range for T={num_frames}")
     if window.policy is BoundaryPolicy.STRICT:
-        lo, hi = _strict_bounds(frame, window.sigma, num_frames)
-    else:
-        lo, hi = _clamp_bounds(frame, window.sigma, num_frames)
-    return float(diffs[lo : hi + 1].mean())
+        start, stop = strict_frame_range(window.sigma, num_frames)
+        if not start <= frame < stop:
+            raise ConstraintError(
+                f"strict policy defines frame {frame} only for "
+                f"{start} <= frame <= {stop - 1} (sigma={window.sigma}, T={num_frames})"
+            )
+    return float(_window_energies(diffs, window.sigma)[frame])
 
 
 def _softmax(values: np.ndarray) -> np.ndarray:
@@ -183,18 +192,11 @@ def coarticulation_weights(
     if temperature <= 0:
         raise ConstraintError(f"temperature must be positive, got {temperature}")
 
+    # A STRICT window never reaches a clamped end, so it equals the CLAMP one.
+    start, stop = 0, num_frames
     if window.policy is BoundaryPolicy.STRICT:
         start, stop = strict_frame_range(window.sigma, num_frames)
-    else:
-        start, stop = 0, num_frames
-
-    raw = np.empty(stop - start)
-    for i, frame in enumerate(range(start, stop)):
-        if window.policy is BoundaryPolicy.STRICT:
-            lo, hi = _strict_bounds(frame, window.sigma, num_frames)
-        else:
-            lo, hi = _clamp_bounds(frame, window.sigma, num_frames)
-        raw[i] = diffs[lo : hi + 1].mean()
+    raw = _window_energies(diffs, window.sigma)[start:stop]
 
     weights = _softmax(raw / temperature)
     return CoarticulationWeights(weights, raw, window.sigma, window.policy, start)
@@ -328,7 +330,7 @@ def finite_difference_gradient(
             return value.total
         return float(value)
 
-    return central_difference(evaluate, np.asarray(pred.frames, dtype=np.float64), step)
+    return central_difference(evaluate, pred.frames, step)
 
 
 def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

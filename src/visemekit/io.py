@@ -8,6 +8,7 @@ Values that parse but violate a contract raise ConstraintError downstream.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import metrics
 from .coarticulation import CoarticulationWeights, LossKind, LossReport
 from .errors import ConstraintError, FormatError
-from .mesh import MeshSequence, VertexRegionMask, as_frames
+from .mesh import MeshSequence, VertexRegionMask
 from .synth import SegmentAnnotation, SynthSpec
 from .toytrain import AblationResult, TrainConfig, TrainReport
 
@@ -44,18 +45,10 @@ _MSQ_HEADER = struct.Struct("<4sIIf")
 
 
 def write_msq(seq: MeshSequence, path) -> None:
-    frames = as_frames(seq.frames)
-    num_frames, num_vertices = frames.shape[0], frames.shape[1]
-    if num_frames < 1 or num_vertices < 1:
-        raise ConstraintError(
-            f"refusing to write empty sequence ({num_frames} frames, "
-            f"{num_vertices} vertices)"
-        )
-    if not np.isfinite(seq.fps) or seq.fps <= 0:
-        raise ConstraintError(f"fps must be positive and finite, got {seq.fps}")
+    frames = seq.frames
     if not np.all(np.isfinite(frames)):
         raise ConstraintError("refusing to write non-finite coordinates")
-    header = _MSQ_HEADER.pack(_MSQ_MAGIC, num_frames, num_vertices, seq.fps)
+    header = _MSQ_HEADER.pack(_MSQ_MAGIC, seq.num_frames, seq.num_vertices, seq.fps)
     payload = np.ascontiguousarray(frames, dtype="<f8").tobytes()
     Path(path).write_bytes(header + payload)
 
@@ -73,7 +66,7 @@ def read_msq(path) -> MeshSequence:
         raise FormatError(
             f"{path}: header declares {num_frames} frames, {num_vertices} vertices"
         )
-    if fps <= 0:
+    if not math.isfinite(fps) or fps <= 0:
         raise FormatError(f"{path}: header declares fps {fps}")
     expected = num_frames * num_vertices * 3 * 8
     actual = len(data) - _MSQ_HEADER.size
@@ -95,7 +88,7 @@ def read_msq(path) -> MeshSequence:
             f"component {component}"
         )
     frames = flat.astype(np.float64).reshape(num_frames, num_vertices, 3)
-    return MeshSequence(frames, float(fps))
+    return MeshSequence(frames, fps)
 
 
 def import_obj_sequence(dir_path, fps: float) -> MeshSequence:
@@ -131,7 +124,7 @@ def import_obj_sequence(dir_path, fps: float) -> MeshSequence:
                 f"vertices, {path.name} has {len(vertices)}"
             )
         frames.append(vertices)
-    return MeshSequence(np.array(frames, dtype=np.float64), float(fps))
+    return MeshSequence(frames, fps)
 
 
 def read_mask(path) -> VertexRegionMask:

@@ -7,6 +7,7 @@ All functions here are pure: inputs are never mutated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +16,9 @@ from .errors import ConstraintError
 
 __all__ = [
     "MeshSequence",
-    "DeformationSequence",
-    "FaceTemplate",
     "VertexRegionMask",
     "ValidationResult",
     "validate_sequence",
-    "apply_deformation",
     "translate_sequence",
     "frame_difference_norms",
 ]
@@ -30,50 +28,44 @@ __all__ = [
 class MeshSequence:
     """Time-ordered stack of per-frame vertex positions.
 
-    frames: array of shape (T, V, 3), model units.
-    fps: frames per second, > 0.
+    frames: array of shape (T, V, 3) with T >= 1 and V >= 1, stored as
+    float64; lists and other array-likes are converted.
+    fps: frames per second, finite and > 0, stored as a float.
     label: optional text identifier carried through transformations.
+
+    Shape and fps are checked here, once. Coordinate finiteness is not: a
+    diverging fit must still be able to hold its non-finite prediction, so
+    finiteness is checked at the file boundary (read_msq, write_msq).
     """
 
     frames: np.ndarray
     fps: float
     label: str | None = None
 
+    def __post_init__(self):
+        try:
+            frames = np.asarray(self.frames, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConstraintError(f"frames are not a regular (T, V, 3) array: {exc}") from exc
+        if frames.ndim != 3 or frames.shape[2] != 3:
+            raise ConstraintError(f"frames must have shape (T, V, 3), got {frames.shape}")
+        if frames.shape[0] < 1 or frames.shape[1] < 1:
+            raise ConstraintError(
+                f"need at least one frame and one vertex, got shape {frames.shape}"
+            )
+        fps = float(self.fps)
+        if not math.isfinite(fps) or fps <= 0:
+            raise ConstraintError(f"fps must be positive and finite, got {self.fps}")
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "fps", fps)
+
     @property
     def num_frames(self) -> int:
-        return len(self.frames)
+        return self.frames.shape[0]
 
     @property
     def num_vertices(self) -> int:
-        return np.shape(self.frames[0])[0]
-
-
-@dataclass(frozen=True)
-class DeformationSequence:
-    """Per-frame, per-vertex displacement vectors; same layout as MeshSequence."""
-
-    frames: np.ndarray
-    fps: float
-    label: str | None = None
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.frames)
-
-    @property
-    def num_vertices(self) -> int:
-        return np.shape(self.frames[0])[0]
-
-
-@dataclass(frozen=True)
-class FaceTemplate:
-    """A static face: (V, 3) vertex positions."""
-
-    vertices: np.ndarray
-
-    @property
-    def num_vertices(self) -> int:
-        return np.shape(self.vertices)[0]
+        return self.frames.shape[1]
 
 
 @dataclass(frozen=True)
@@ -116,18 +108,17 @@ class ValidationResult:
         return self.ok
 
 
-def validate_sequence(seq: MeshSequence) -> ValidationResult:
-    """Check every MeshSequence invariant without raising.
+def validate_sequence(frames, fps) -> ValidationResult:
+    """Diagnose raw frame data and a frame rate without raising.
 
-    Returns the first violated invariant with a diagnostic that names the
-    offending frame (and vertex, for non-finite coordinates). Accepts ragged
-    per-frame data so broken inputs can be diagnosed rather than crash.
+    Checks what MeshSequence requires plus coordinate finiteness, and returns
+    the first violation with a diagnostic that names the offending frame (and
+    vertex, for non-finite coordinates). Accepts ragged per-frame data so
+    broken inputs can be diagnosed rather than crash.
     """
-    fps = seq.fps
     if not np.isfinite(fps) or fps <= 0:
         return ValidationResult(False, f"fps must be positive, got {fps}")
 
-    frames = seq.frames
     try:
         num_frames = len(frames)
     except TypeError:
@@ -163,40 +154,12 @@ def validate_sequence(seq: MeshSequence) -> ValidationResult:
     return ValidationResult(True)
 
 
-def as_frames(frames) -> np.ndarray:
-    """Coerce to a (T, V, 3) float64 array, raising on ragged or misshaped input."""
-    try:
-        arr = np.asarray(frames, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConstraintError(f"frames are not a regular (T, V, 3) array: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ConstraintError(f"frames must have shape (T, V, 3), got {arr.shape}")
-    return arr
-
-
 def require_same_shape(gt: MeshSequence, pred: MeshSequence) -> tuple[np.ndarray, np.ndarray]:
     """Return both frame arrays, raising if their (T, V, 3) shapes differ."""
-    a = as_frames(gt.frames)
-    b = as_frames(pred.frames)
+    a, b = gt.frames, pred.frames
     if a.shape != b.shape:
         raise ConstraintError(f"shape mismatch: gt {a.shape} vs pred {b.shape}")
     return a, b
-
-
-def apply_deformation(template: FaceTemplate, deformation: DeformationSequence) -> MeshSequence:
-    """Add per-frame displacement fields to a static template.
-
-    Output frame t, vertex i is template[i] + deformation[t][i]; the frame
-    rate is copied from the deformation sequence.
-    """
-    base = np.asarray(template.vertices, dtype=np.float64)
-    disp = as_frames(deformation.frames)
-    if base.shape[0] != disp.shape[1]:
-        raise ConstraintError(
-            f"vertex count mismatch: template has {base.shape[0]} vertices, "
-            f"deformation has {disp.shape[1]}"
-        )
-    return MeshSequence(base[None, :, :] + disp, deformation.fps, deformation.label)
 
 
 def translate_sequence(seq: MeshSequence, offset) -> MeshSequence:
@@ -204,7 +167,7 @@ def translate_sequence(seq: MeshSequence, offset) -> MeshSequence:
     off = np.asarray(offset, dtype=np.float64)
     if off.shape != (3,) or not np.all(np.isfinite(off)):
         raise ConstraintError(f"offset must be a finite 3-vector, got {offset!r}")
-    return MeshSequence(as_frames(seq.frames) + off, seq.fps, seq.label)
+    return MeshSequence(seq.frames + off, seq.fps, seq.label)
 
 
 def frame_difference_norms(seq: MeshSequence) -> np.ndarray:
@@ -213,7 +176,7 @@ def frame_difference_norms(seq: MeshSequence) -> np.ndarray:
     Entry j is sum_i sum_c (frames[j+1, i, c] - frames[j, i, c])**2, so the
     output has length T - 1. Requires T >= 2.
     """
-    frames = as_frames(seq.frames)
+    frames = seq.frames
     if len(frames) < 2:
         raise ConstraintError(
             f"need at least 2 frames to form differences, got {len(frames)}"

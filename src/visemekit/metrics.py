@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstraintError
-from .mesh import MeshSequence, VertexRegionMask, as_frames, require_same_shape
+from .mesh import MeshSequence, VertexRegionMask, require_same_shape
 
 __all__ = [
     "MetricReport",
@@ -153,9 +153,8 @@ def dtw(
 
 
 def _lip_frames(seq: MeshSequence, lips: VertexRegionMask) -> np.ndarray:
-    frames = as_frames(seq.frames)
-    lips.validate_for(frames.shape[1])
-    return frames[:, lips.indices, :]
+    lips.validate_for(seq.num_vertices)
+    return seq.frames[:, lips.indices, :]
 
 
 def ldtw(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:

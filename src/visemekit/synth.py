@@ -10,6 +10,7 @@ for segment-conditioned evaluation.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -69,8 +70,8 @@ class SegmentAnnotation:
 def _validate_spec(spec: SynthSpec) -> None:
     if spec.num_vertices < 1:
         raise ConstraintError("num_vertices must be >= 1")
-    if spec.fps <= 0:
-        raise ConstraintError(f"fps must be positive, got {spec.fps}")
+    if not math.isfinite(spec.fps) or spec.fps <= 0:
+        raise ConstraintError(f"fps must be positive and finite, got {spec.fps}")
     if spec.blend_halfwidth < 0:
         raise ConstraintError("blend_halfwidth must be >= 0")
     if spec.jitter_amplitude < 0:
@@ -171,11 +172,10 @@ def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequenc
     if amplitude == 0:
         return seq
     rng = np.random.default_rng(seed)
-    frames = np.asarray(seq.frames, dtype=np.float64)
-    noise = rng.uniform(-amplitude, amplitude, size=frames.shape)
+    noise = rng.uniform(-amplitude, amplitude, size=seq.frames.shape)
     tag = f"jitter(uniform,pcg64,amp={amplitude:g},seed={seed})"
     label = f"{seq.label}+{tag}" if seq.label else tag
-    return MeshSequence(frames + noise, seq.fps, label)
+    return MeshSequence(seq.frames + noise, seq.fps, label)
 
 
 # -- corpus generation ---------------------------------------------------------

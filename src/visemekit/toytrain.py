@@ -28,7 +28,7 @@ from .coarticulation import (
     loss_vel,
 )
 from .errors import ConstraintError, DivergenceError
-from .mesh import MeshSequence, VertexRegionMask, as_frames
+from .mesh import MeshSequence, VertexRegionMask
 from .synth import SegmentAnnotation
 
 __all__ = [
@@ -108,8 +108,7 @@ class TrainConfig:
             raise ConstraintError("learning_rate must be positive")
         if self.steps < 0:
             raise ConstraintError("steps must be >= 0")
-        if self.sigma < 0:
-            raise ConstraintError("sigma must be >= 0")
+        object.__setattr__(self, "sigma", WindowSpec(self.sigma).sigma)
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,9 @@ def objective_and_gradient(
     velocity loss; the gradient chains the per-vertex loss gradients through
     the linear basis expansion.
     """
-    frames = as_frames(gt.frames)
     coef = np.asarray(coef, dtype=np.float64)
     if basis is None:
-        basis = temporal_basis(len(frames), len(coef))
+        basis = temporal_basis(gt.num_frames, len(coef))
     pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), gt.fps)
 
     if cfg.loss_choice is LossKind.PC:
@@ -180,8 +178,7 @@ def fit(
     if the objective goes non-finite. When `annotation` is given the report
     also carries lip error split by transition vs hold frames.
     """
-    frames = as_frames(gt.frames)
-    num_frames, num_vertices = frames.shape[0], frames.shape[1]
+    num_frames, num_vertices = gt.num_frames, gt.num_vertices
     if num_frames < 2:
         raise ConstraintError("fitting needs at least 2 frames")
     num_basis = cfg.num_basis if cfg.num_basis is not None else max(num_frames // 4, 1)

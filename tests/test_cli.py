@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,14 @@ class TestWeights:
         gt = msq(tmp_path, "gt.msq", MICRO_FRAMES)
         assert main(["weights", "--gt", gt, "--sigma", "2", "--policy", "strict"]) == 1
         assert "strict policy infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    def test_non_finite_fps_header(self, tmp_path, capsys, fps):
+        path = tmp_path / "gt.msq"
+        header = struct.pack("<4sIIf", b"MSQ1", 2, 1, fps)
+        path.write_bytes(header + np.zeros(6).astype("<f8").tobytes())
+        assert main(["weights", "--gt", str(path)]) == 2
+        assert "fps" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["weights", "--gt", str(tmp_path / "nope.msq")]) == 2
@@ -184,6 +194,13 @@ class TestGen:
         spec = tmp_path / "spec.txt"
         spec.write_text("num_vertices = 1\n")
         assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("fps", ["nan", "inf"])
+    def test_non_finite_fps(self, tmp_path, capsys, fps):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT.replace("fps = 10.0", f"fps = {fps}"))
+        assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert "fps" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from visemekit import coarticulation
 from visemekit import (
     BoundaryPolicy,
     CoarticulationWeights,
@@ -73,8 +74,8 @@ class TestMotionEnergy:
     def test_matches_clamp_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            num_frames = int(rng.integers(2, 10))
-            sigma = int(rng.integers(0, 6))
+            num_frames = int(rng.integers(2, 41))
+            sigma = int(rng.integers(0, 9))
             frames = rng.normal(0.0, 1.0, (num_frames, 2, 3))
             s = seq(frames)
             for frame in range(num_frames):
@@ -175,6 +176,43 @@ class TestCoarticulationWeights:
         assert w.frame_start == 2
         assert len(w) == 5  # frames 2..6 of 0..8
         assert abs(w.weights.sum() - 1.0) <= 1e-9
+
+    def test_raw_energy_matches_oracles_both_policies(self):
+        # T up to 40 and sigma up to 8 reach partial boundary windows of width
+        # >= 9, where numpy's summation order differs from a plain loop
+        rng = np.random.default_rng(13)
+        for num_frames in range(2, 41):
+            frames = rng.normal(0.0, 1.0, (num_frames, 2, 3))
+            listed = frames.tolist()
+            for sigma in range(9):
+                clamp = coarticulation_weights(seq(frames), WindowSpec(sigma)).raw_energy
+                expected = [
+                    oracles.window_energy_clamp(listed, t1, sigma)
+                    for t1 in range(1, num_frames + 1)
+                ]
+                assert clamp == pytest.approx(expected, rel=1e-12)
+                if 2 * sigma + 1 > num_frames:
+                    continue
+                strict = coarticulation_weights(
+                    seq(frames), WindowSpec(sigma, BoundaryPolicy.STRICT)
+                )
+                stop = strict.frame_start + len(strict)
+                assert np.array_equal(strict.raw_energy, clamp[strict.frame_start : stop])
+                expected = [
+                    oracles.window_energy_strict(listed, frame + 1, sigma)
+                    for frame in range(strict.frame_start, stop)
+                ]
+                assert strict.raw_energy == pytest.approx(expected, rel=1e-12)
+
+    def test_gather_in_blocks_matches_one_block(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        frames = rng.normal(0.0, 1.0, (23, 2, 3))
+        whole = [coarticulation_weights(seq(frames), WindowSpec(s)).raw_energy for s in range(9)]
+        # a tiny block budget forces several blocks, some holding one row
+        monkeypatch.setattr(coarticulation, "_GATHER_ELEMENTS", 20)
+        for sigma in range(9):
+            blocked = coarticulation_weights(seq(frames), WindowSpec(sigma)).raw_energy
+            assert np.array_equal(blocked, whole[sigma])
 
     def test_strict_infeasible(self):
         with pytest.raises(ConstraintError, match="strict"):

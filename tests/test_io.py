@@ -93,9 +93,10 @@ class TestMsq:
 
     def test_bad_fps_in_header(self, tmp_path):
         path = tmp_path / "a.msq"
-        path.write_bytes(msq_bytes(fps=-1.0))
-        with pytest.raises(FormatError, match="fps"):
-            read_msq(path)
+        for fps in (-1.0, 0.0, np.nan, np.inf):
+            path.write_bytes(msq_bytes(fps=fps))
+            with pytest.raises(FormatError, match="fps"):
+                read_msq(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "a.msq"
@@ -165,6 +166,11 @@ class TestObjImport:
     def test_empty_directory(self, tmp_path):
         with pytest.raises(FormatError, match="no .obj files"):
             import_obj_sequence(tmp_path, fps=30.0)
+
+    def test_bad_fps(self, tmp_path):
+        (tmp_path / "a.obj").write_text("v 0 0 0\n")
+        with pytest.raises(ConstraintError, match="fps"):
+            import_obj_sequence(tmp_path, fps=-5.0)
 
 
 class TestMask:

@@ -3,16 +3,13 @@ import pytest
 
 from visemekit import (
     ConstraintError,
-    DeformationSequence,
-    FaceTemplate,
     MeshSequence,
     VertexRegionMask,
-    apply_deformation,
     frame_difference_norms,
     translate_sequence,
     validate_sequence,
 )
-from visemekit.mesh import as_frames, require_same_shape
+from visemekit.mesh import require_same_shape
 
 
 def seq(frames, fps=30.0):
@@ -21,51 +18,68 @@ def seq(frames, fps=30.0):
 
 class TestValidateSequence:
     def test_good_sequence(self):
-        result = validate_sequence(seq(np.zeros((4, 3, 3))))
+        result = validate_sequence(np.zeros((4, 3, 3)), 30.0)
         assert result.ok
         assert bool(result)
         assert result.error is None
 
     def test_bad_fps(self):
-        result = validate_sequence(MeshSequence(np.zeros((2, 1, 3)), 0.0))
+        result = validate_sequence(np.zeros((2, 1, 3)), 0.0)
         assert not result.ok
         assert "fps" in result.error
 
     def test_vertex_count_mismatch_names_frame(self):
         frames = [np.zeros((2, 3)), np.zeros((3, 3))]
-        result = validate_sequence(MeshSequence(frames, 30.0))
+        result = validate_sequence(frames, 30.0)
         assert not result.ok
         assert "frame 1" in result.error
 
     def test_nonfinite_names_frame_and_vertex(self):
         frames = np.zeros((3, 2, 3))
         frames[1, 1, 2] = np.nan
-        result = validate_sequence(seq(frames))
+        result = validate_sequence(frames, 30.0)
         assert not result.ok
         assert "frame 1" in result.error and "vertex 1" in result.error
 
     def test_empty(self):
-        result = validate_sequence(MeshSequence(np.zeros((0, 1, 3)), 30.0))
+        result = validate_sequence(np.zeros((0, 1, 3)), 30.0)
         assert not result.ok
 
     def test_wrong_coordinate_arity(self):
-        result = validate_sequence(MeshSequence(np.zeros((2, 2, 2)), 30.0))
+        result = validate_sequence(np.zeros((2, 2, 2)), 30.0)
         assert not result.ok
 
 
 class TestAsFrames:
+    """The MeshSequence constructor coerces frames to a (T, V, 3) float64 array."""
+
     def test_coerces_lists(self):
-        arr = as_frames([[[0, 0, 0]], [[1, 2, 3]]])
-        assert arr.shape == (2, 1, 3)
-        assert arr.dtype == np.float64
+        s = MeshSequence([[[0, 0, 0]], [[1, 2, 3]]], 30)
+        assert s.frames.shape == (2, 1, 3)
+        assert s.frames.dtype == np.float64
+        assert s.num_frames == 2 and s.num_vertices == 1
+        assert type(s.fps) is float and s.fps == 30.0
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ConstraintError):
-            as_frames(np.zeros((2, 3)))
+        for shape in [(2, 3), (2, 2, 2), (2, 2, 4), (1, 2, 3, 1)]:
+            with pytest.raises(ConstraintError, match="shape"):
+                MeshSequence(np.zeros(shape), 30.0)
 
     def test_rejects_ragged(self):
-        with pytest.raises(ConstraintError):
-            as_frames([np.zeros((2, 3)), np.zeros((3, 3))])
+        with pytest.raises(ConstraintError, match="regular"):
+            MeshSequence([np.zeros((2, 3)), np.zeros((3, 3))], 30.0)
+
+
+class TestMeshSequence:
+    @pytest.mark.parametrize("shape", [(0, 1, 3), (2, 0, 3), (0, 0, 3)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ConstraintError, match="at least one"):
+            MeshSequence(np.zeros(shape), 30.0)
+
+    @pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_bad_fps(self, fps):
+        with pytest.raises(ConstraintError, match="fps"):
+            MeshSequence(np.zeros((2, 1, 3)), fps)
 
 
 def test_require_same_shape_names_both_shapes():
@@ -101,22 +115,6 @@ class TestVertexRegionMask:
     def test_full(self):
         mask = VertexRegionMask.full(4)
         assert mask.indices.tolist() == [0, 1, 2, 3]
-
-
-def test_apply_deformation_adds_displacements_and_copies_fps():
-    template = FaceTemplate(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    disp = DeformationSequence(np.ones((3, 2, 3)) * 0.5, fps=25.0)
-    out = apply_deformation(template, disp)
-    assert out.fps == 25.0
-    assert np.allclose(out.frames[0, 0], [1.5, 0.5, 0.5])
-    assert out.num_frames == 3
-
-
-def test_apply_deformation_vertex_mismatch():
-    template = FaceTemplate(np.zeros((2, 3)))
-    disp = DeformationSequence(np.zeros((1, 3, 3)), fps=30.0)
-    with pytest.raises(ConstraintError):
-        apply_deformation(template, disp)
 
 
 def test_translate_sequence():

@@ -114,6 +114,9 @@ class TestGenVisemeTrack:
             gen_viseme_track(two_shape_spec(shape_bank={"a": np.zeros((3, 3)), "b": np.zeros((2, 3))}))
         with pytest.raises(ConstraintError):
             gen_viseme_track(two_shape_spec(viseme_targets=()))
+        for fps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConstraintError, match="fps"):
+                gen_viseme_track(two_shape_spec(fps=fps))
 
 
 class TestInjectJitter:

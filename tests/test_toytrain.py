@@ -191,6 +191,12 @@ class TestTrainConfig:
         with pytest.raises(ConstraintError):
             TrainConfig(sigma=-1)
 
+    def test_sigma_follows_window_rule(self):
+        with pytest.raises(ConstraintError, match="window radius"):
+            TrainConfig(sigma=1.5)
+        cfg = TrainConfig(sigma=3.0)
+        assert cfg.sigma == 3 and type(cfg.sigma) is int
+
 
 class TestAblateWindow:
     def test_row_counts_and_order(self):
