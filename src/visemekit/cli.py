@@ -184,7 +184,8 @@ def cmd_gradcheck(args) -> int:
             numeric = finite_difference_gradient(fn, gt, pred, step=args.step)
             worst[name] = max(worst[name], relative_gradient_error(analytic, numeric))
 
-        # chain the same losses through the toy model's basis expansion
+        # the trainer's quadratic-form gradient against finite differences of
+        # the same losses evaluated on the toy model's basis prediction
         num_basis = int(rng.integers(1, num_frames))
         coef = rng.normal(0.0, 1.0, (num_basis, num_vertices, 3))
         cfg = toytrain.TrainConfig(
@@ -194,11 +195,16 @@ def cmd_gradcheck(args) -> int:
             steps=1,
         )
         _, analytic = toytrain.objective_and_gradient(gt, coef, cfg, weights=weights)
-        numeric = central_difference(
-            lambda c: toytrain.objective_and_gradient(gt, c, cfg, weights=weights)[0],
-            coef,
-            args.step,
-        )
+
+        def direct(c):
+            pred = toytrain.predict(toytrain.ToyModel(c, fps), num_frames)
+            if cfg.loss_choice is LossKind.PC:
+                frame_loss = loss_pc(gt, pred, weights)
+            else:
+                frame_loss = loss_rec(gt, pred)
+            return frame_loss.total + cfg.vel_coefficient * loss_vel(gt, pred).total
+
+        numeric = central_difference(direct, coef, args.step)
         worst["toy"] = max(worst["toy"], relative_gradient_error(analytic, numeric))
 
     for name in ("rec", "vel", "pc", "toy"):

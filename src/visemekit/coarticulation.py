@@ -12,6 +12,7 @@ computed from the ground-truth sequence, never from a prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -62,7 +63,7 @@ class WindowSpec:
     policy: BoundaryPolicy = BoundaryPolicy.CLAMP
 
     def __post_init__(self):
-        if int(self.sigma) != self.sigma or self.sigma < 0:
+        if not math.isfinite(self.sigma) or int(self.sigma) != self.sigma or self.sigma < 0:
             raise ConstraintError(f"window radius must be a nonnegative integer, got {self.sigma}")
         object.__setattr__(self, "sigma", int(self.sigma))
 
@@ -189,8 +190,8 @@ def coarticulation_weights(
     """
     diffs = frame_difference_norms(gt)
     num_frames = len(diffs) + 1
-    if temperature <= 0:
-        raise ConstraintError(f"temperature must be positive, got {temperature}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ConstraintError(f"temperature must be finite and positive, got {temperature}")
 
     # A STRICT window never reaches a clamped end, so it equals the CLAMP one.
     start, stop = 0, num_frames

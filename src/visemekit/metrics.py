@@ -88,48 +88,82 @@ def lip_max(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> flo
 
 # -- dynamic time warping -----------------------------------------------------
 
+_COST_BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per broadcast block of differences
 
-def _euclidean_cost(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(np.ravel(x) - np.ravel(y)))
+
+def _euclidean_cost(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every raveled frame of `rows` and of `b`.
+
+    Each squared length is the dot product of a difference with itself, the
+    same reduction np.linalg.norm applies to one raveled difference.
+    """
+    delta = rows.reshape(len(rows), 1, 1, -1) - b.reshape(1, len(b), 1, -1)
+    return np.sqrt(np.matmul(delta, delta.swapaxes(2, 3)))[:, :, 0, 0]
+
+
+def _mean_vertex_distance(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean per-vertex Euclidean distance between (L, 3) frames, pairwise.
+
+    The squared components are summed as (x + y) + z, the order numpy's norm
+    over an axis of length 3 uses, so each entry equals
+    np.linalg.norm(x - y, axis=1).mean() bit for bit.
+    """
+    delta = np.moveaxis(rows, 2, 0)[:, :, None] - np.moveaxis(b, 2, 0)[:, None]
+    delta *= delta
+    sq = np.add(delta[0], delta[1], out=delta[0])
+    sq += delta[2]
+    return np.sqrt(sq, out=sq).mean(axis=2)
 
 
 def dtw(
     a: Sequence[np.ndarray],
     b: Sequence[np.ndarray],
-    cost: Callable[[np.ndarray, np.ndarray], float] = _euclidean_cost,
+    cost: Callable[[np.ndarray, np.ndarray], np.ndarray] = _euclidean_cost,
 ) -> DtwResult:
     """Dynamic time warping between two sequences of frame features.
 
     Fills the classic accumulated-cost table
-        D[i, j] = cost(a[i], b[j]) + min(D[i-1, j], D[i, j-1], D[i-1, j-1])
+        D[i, j] = cost[i, j] + min(D[i-1, j-1], D[i-1, j], D[i, j-1])
     and backtracks the optimal path with a fixed tie-break: diagonal first,
     then vertical (advance a), then horizontal (advance b). No band
     constraint; the full table is always filled.
+
+    `cost(rows, b)` maps a block of consecutive frames of `a` and all of `b`
+    to their (len(rows), len(b)) local-cost matrix; the default is the
+    Euclidean distance of the raveled frames. The local matrix is built in
+    row blocks so the broadcast differences stay small on long sequences.
     """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         raise ConstraintError("dtw inputs must be nonempty")
-    if np.shape(a[0]) != np.shape(b[0]):
-        raise ConstraintError(
-            f"feature shape mismatch: {np.shape(a[0])} vs {np.shape(b[0])}"
-        )
+    if a.shape[1:] != b.shape[1:]:
+        raise ConstraintError(f"feature shape mismatch: {a.shape[1:]} vs {b.shape[1:]}")
 
-    local = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            local[i, j] = cost(a[i], b[j])
-
-    acc = np.empty((n, m))
-    acc[0, 0] = local[0, 0]
-    for i in range(1, n):
-        acc[i, 0] = local[i, 0] + acc[i - 1, 0]
-    for j in range(1, m):
-        acc[0, j] = local[0, j] + acc[0, j - 1]
-    for i in range(1, n):
-        for j in range(1, m):
-            acc[i, j] = local[i, j] + min(
-                acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
-            )
+    # Both tables carry a padding row and column, so cell (i, j) sits at
+    # padded (i+1, j+1). Row-major with stride m+1, each anti-diagonal
+    # i + j = d is then a flat slice with step m, and its diagonal, upper and
+    # left neighbours are the same slice shifted by m+2, m+1 and 1. Every
+    # cell gets local + min(diagonal, up, left), the arithmetic of a
+    # row-by-row fill, so the table and the path do not depend on the order.
+    width = m + 1
+    local = np.zeros((n + 1, width))
+    rows = max(_COST_BLOCK_ELEMENTS // (m * max(b[0].size, 1)), 1)
+    for first in range(0, n, rows):
+        local[first + 1 : first + rows + 1, 1:] = cost(a[first : first + rows], b)
+    local = local.reshape(-1)
+    table = np.full((n + 1) * width, np.inf)
+    table[0] = 0.0  # the virtual predecessor of (0, 0)
+    for d in range(n + m - 1):
+        i0, i1 = max(0, d - m + 1), min(n - 1, d)
+        start = (i0 + 1) * width + d - i0 + 1
+        stop = start + (i1 - i0) * m + 1
+        prior = np.minimum(table[start - width - 1 : stop - width - 1 : m],
+                           table[start - width : stop - width : m])
+        np.minimum(prior, table[start - 1 : stop - 1 : m], out=prior)
+        table[start:stop:m] = local[start:stop:m] + prior
+    acc = table.reshape(n + 1, width)[1:, 1:]
 
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
@@ -169,11 +203,7 @@ def ldtw(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:
         raise ConstraintError(
             f"lip vertex count mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-
-    def frame_cost(x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(x - y, axis=1).mean())
-
-    result = dtw(a, b, frame_cost)
+    result = dtw(a, b, _mean_vertex_distance)
     return result.distance / result.path_length
 
 

@@ -10,6 +10,7 @@ the weighted run should allocate less error to transition frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,10 +20,8 @@ from .coarticulation import (
     CoarticulationWeights,
     LossKind,
     WindowSpec,
+    _check_weights,
     coarticulation_weights,
-    grad_loss_pc,
-    grad_loss_rec,
-    grad_loss_vel,
     loss_pc,
     loss_rec,
     loss_vel,
@@ -102,10 +101,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_choice not in (LossKind.REC, LossKind.PC):
             raise ConstraintError("loss_choice must be REC or PC")
-        if self.vel_coefficient < 0:
-            raise ConstraintError("vel_coefficient must be >= 0")
-        if self.learning_rate <= 0:
-            raise ConstraintError("learning_rate must be positive")
+        if not (math.isfinite(self.vel_coefficient) and self.vel_coefficient >= 0):
+            raise ConstraintError(
+                f"vel_coefficient must be finite and >= 0, got {self.vel_coefficient}"
+            )
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConstraintError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.steps < 0:
             raise ConstraintError("steps must be >= 0")
         object.__setattr__(self, "sigma", WindowSpec(self.sigma).sigma)
@@ -130,6 +133,47 @@ def predict(model: ToyModel, num_frames: int) -> MeshSequence:
     return MeshSequence(np.tensordot(basis, model.coef, axes=(1, 0)), model.fps)
 
 
+def _quadratic_form(
+    gt: MeshSequence,
+    cfg: TrainConfig,
+    basis: np.ndarray,
+    weights: CoarticulationWeights | None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The training objective as an exact quadratic in the coefficients.
+
+    With per-frame weights w (the PC weights, or all ones for REC), the
+    first-difference operator D and M = diag(w) + vel_coefficient * D^T D,
+    the objective at flattened coefficients C (K, 3V) is
+        f(C) = <C, G C> - 2 <C, R> + c0,
+    with G = B^T M B, R = B^T M Y and c0 = <Y, M Y> for the basis B and the
+    flattened targets Y (T, 3V). The weights depend on the ground truth only,
+    so the form is fixed for a whole fit.
+    """
+    targets = gt.frames.reshape(gt.num_frames, -1)
+    if cfg.loss_choice is LossKind.PC:
+        if weights is None:
+            weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+        _check_weights(weights, gt.num_frames)
+        w = weights.weights
+    else:
+        w = np.ones(gt.num_frames)
+    mu = cfg.vel_coefficient
+    basis_steps = np.diff(basis, axis=0)
+    target_steps = np.diff(targets, axis=0)
+    gram = basis.T @ (w[:, None] * basis) + mu * (basis_steps.T @ basis_steps)
+    rhs = basis.T @ (w[:, None] * targets) + mu * (basis_steps.T @ target_steps)
+    offset = float(w @ np.sum(targets * targets, axis=1) + mu * np.sum(target_steps**2))
+    return gram, rhs, offset
+
+
+def _evaluate_form(
+    gram: np.ndarray, rhs: np.ndarray, offset: float, flat: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """f(C) and the residual G C - R (half the gradient) at flattened C."""
+    residual = gram @ flat - rhs
+    return float(np.vdot(flat, residual - rhs)) + offset, residual
+
+
 def objective_and_gradient(
     gt: MeshSequence,
     coef: np.ndarray,
@@ -140,28 +184,15 @@ def objective_and_gradient(
     """Training objective at `coef` and its gradient w.r.t. `coef`.
 
     The objective is the chosen frame loss plus vel_coefficient times the
-    velocity loss; the gradient chains the per-vertex loss gradients through
-    the linear basis expansion.
+    velocity loss of the basis prediction, evaluated through its exact
+    quadratic form; the gradient is 2 (G C - R).
     """
     coef = np.asarray(coef, dtype=np.float64)
     if basis is None:
         basis = temporal_basis(gt.num_frames, len(coef))
-    pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), gt.fps)
-
-    if cfg.loss_choice is LossKind.PC:
-        if weights is None:
-            weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
-        total = loss_pc(gt, pred, weights).total
-        grad_frames = grad_loss_pc(gt, pred, weights)
-    else:
-        total = loss_rec(gt, pred).total
-        grad_frames = grad_loss_rec(gt, pred)
-
-    if cfg.vel_coefficient > 0:
-        total += cfg.vel_coefficient * loss_vel(gt, pred).total
-        grad_frames = grad_frames + cfg.vel_coefficient * grad_loss_vel(gt, pred)
-
-    return total, np.tensordot(basis, grad_frames, axes=(0, 0))
+    form = _quadratic_form(gt, cfg, basis, weights)
+    total, residual = _evaluate_form(*form, coef.reshape(len(coef), -1))
+    return total, (2.0 * residual).reshape(coef.shape)
 
 
 def fit(
@@ -174,9 +205,10 @@ def fit(
 
     Deterministic given cfg.seed, which only drives the small uniform noise
     used to initialize the coefficients. Coarticulation weights for the PC
-    loss are computed once from `gt` before the loop. Raises DivergenceError
-    if the objective goes non-finite. When `annotation` is given the report
-    also carries lip error split by transition vs hold frames.
+    loss are computed once from `gt`, and the objective's quadratic form
+    once from them, before the loop. Raises DivergenceError if the objective
+    goes non-finite. When `annotation` is given the report also carries lip
+    error split by transition vs hold frames.
     """
     num_frames, num_vertices = gt.num_frames, gt.num_vertices
     if num_frames < 2:
@@ -191,17 +223,20 @@ def fit(
     weights = None
     if cfg.loss_choice is LossKind.PC:
         weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+    form = _quadratic_form(gt, cfg, basis, weights)
 
     rng = np.random.default_rng(cfg.seed)
     coef = rng.uniform(-0.01, 0.01, size=(num_basis, num_vertices, 3))
+    flat = coef.reshape(num_basis, -1)  # a view: updating it updates coef
 
     curve = np.empty(cfg.steps)
+    step_size = 2.0 * cfg.learning_rate
     for step in range(cfg.steps):
-        total, grad = objective_and_gradient(gt, coef, cfg, basis, weights)
-        if not np.isfinite(total):
+        total, residual = _evaluate_form(*form, flat)
+        if not math.isfinite(total):
             raise DivergenceError(step)
         curve[step] = total
-        coef -= cfg.learning_rate * grad
+        flat -= step_size * residual
 
     model = ToyModel(coef, gt.fps)
     pred = predict(model, num_frames)

@@ -149,3 +149,45 @@ def dtw_exhaustive(cost_table):
         total = sum(cost_table[i][j] for i, j in path)
         best = min(best, total)
     return best
+
+
+def dtw_loop(a, b, cost):
+    """Classic DTW, one cell at a time: cost(a[i], b[j]) scores one pair.
+
+    The accumulated table is filled row by row with
+    D[i][j] = cost + min(D[i-1][j-1], D[i-1][j], D[i][j-1]), and the path is
+    backtracked with the tie-break diagonal, then vertical (advance a), then
+    horizontal (advance b). Returns (distance, path).
+    """
+    n, m = len(a), len(b)
+    acc = [[0.0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            local = cost(a[i], b[j])
+            if i == 0 and j == 0:
+                acc[i][j] = local
+            elif i == 0:
+                acc[i][j] = local + acc[i][j - 1]
+            elif j == 0:
+                acc[i][j] = local + acc[i - 1][j]
+            else:
+                acc[i][j] = local + min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1])
+
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best = min(acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1])
+            if acc[i - 1][j - 1] == best:
+                i, j = i - 1, j - 1
+            elif acc[i - 1][j] == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    path.reverse()
+    return acc[n - 1][m - 1], tuple(path)

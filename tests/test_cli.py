@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from visemekit import (
     write_annotation,
     write_msq,
 )
+from visemekit import toytrain
 from visemekit.cli import main
 
 MICRO_FRAMES = [[[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]]
@@ -56,6 +58,15 @@ class TestWeights:
         gt = msq(tmp_path, "gt.msq", MICRO_FRAMES)
         assert main(["weights", "--gt", gt, "--sigma", "2", "--policy", "strict"]) == 1
         assert "strict policy infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_non_finite_temperature(self, tmp_path, capsys, temperature):
+        gt = msq(tmp_path, "gt.msq", MICRO_FRAMES)
+        out = tmp_path / "w.csv"
+        code = main(["weights", "--gt", gt, "--temperature", temperature, "--out", str(out)])
+        assert code == 1
+        assert "temperature" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
     def test_non_finite_fps_header(self, tmp_path, capsys, fps):
@@ -249,6 +260,16 @@ class TestTrain:
         assert (out / "report.csv").exists()
 
 
+    def test_non_finite_learning_rate(self, tmp_path, capsys):
+        gt = msq(tmp_path, "gt.msq", np.zeros((8, 1, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("learning_rate = nan\nsteps = 5\nnum_basis = 2\n")
+        out = tmp_path / "run"
+        assert main(["train", "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAblate:
     def test_table_and_best_sigma(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
@@ -288,6 +309,18 @@ class TestGradcheck:
         assert main(["gradcheck", "--trials", "5"]) == 0
         out = capsys.readouterr().out
         assert "worst overall" in out and out.strip().endswith("OK")
+
+    def test_checks_trainer_against_direct_losses(self, capsys, monkeypatch):
+        # a quadratic form that drops the velocity term is self-consistent,
+        # so only finite differences of the direct losses can catch it
+        form = toytrain._quadratic_form
+
+        def without_velocity(gt, cfg, basis, weights):
+            return form(gt, replace(cfg, vel_coefficient=0.0), basis, weights)
+
+        monkeypatch.setattr(toytrain, "_quadratic_form", without_velocity)
+        assert main(["gradcheck", "--trials", "3"]) == 1
+        assert capsys.readouterr().out.strip().endswith("FAIL")
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--trials", "2", "--tolerance", "1e-30"]) == 1

@@ -233,6 +233,12 @@ class TestCoarticulationWeights:
         with pytest.raises(ConstraintError):
             coarticulation_weights(s, temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_temperature(self, temperature):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ConstraintError, match="temperature"):
+            coarticulation_weights(rand_seq(rng, 6, 2), temperature=temperature)
+
     def test_large_energies_do_not_overflow(self):
         frames = np.zeros((3, 1, 3))
         frames[1, 0, 0] = 40.0  # step norm^2 = 1600, exp(1600) overflows naively

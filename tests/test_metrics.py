@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from visemekit import metrics
 from visemekit import (
     ConstraintError,
     MeshSequence,
@@ -135,6 +136,75 @@ class TestDtw:
         assert path[-1] == (n - 1, m - 1)
         for (i0, j0), (i1, j1) in zip(path, path[1:]):
             assert (i1 - i0, j1 - j0) in ((1, 0), (0, 1), (1, 1))
+
+
+def raveled_norm(x, y):
+    return float(np.linalg.norm(np.ravel(x) - np.ravel(y)))
+
+
+def mean_vertex_norm(x, y):
+    return float(np.linalg.norm(x - y, axis=1).mean())
+
+
+def oracle_cases(rng, count):
+    """Random DTW inputs, lengths 1-40: (V, 3) frames, then the same as 1-D
+    features, with every third case made tie-heavy (values rounded to 0.5,
+    so every local cost is exact) and every seventh all zeros."""
+    for case in range(count):
+        n, m = int(rng.integers(1, 41)), int(rng.integers(1, 41))
+        num_vertices = int(rng.integers(1, 5))
+        a = rng.normal(0.0, 1.0, (n, num_vertices, 3))
+        b = rng.normal(0.0, 1.0, (m, num_vertices, 3))
+        if case % 3 == 1:
+            a, b = np.round(2.0 * a) / 2.0, np.round(2.0 * b) / 2.0
+        if case % 7 == 0:
+            a, b = np.zeros_like(a), np.zeros_like(b)
+        yield a, b
+        yield a[:, 0, 0], b[:, 0, 0]
+
+
+class TestDtwKernel:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(20)
+        for a, b in oracle_cases(rng, 60):
+            distance, path = oracles.dtw_loop(a, b, raveled_norm)
+            result = dtw(a, b)
+            assert result.path == path
+            assert abs(result.distance - distance) <= 1e-12
+
+    def test_ldtw_equals_loop_oracle_exactly(self):
+        rng = np.random.default_rng(21)
+        for a, b in oracle_cases(rng, 60):
+            if a.ndim == 1:
+                continue
+            lips = VertexRegionMask.full(a.shape[1])
+            distance, path = oracles.dtw_loop(a, b, mean_vertex_norm)
+            assert ldtw(seq(a), seq(b), lips) == distance / len(path)
+
+    def test_cost_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        a = rng.normal(0.0, 1.0, (17, 3, 3))
+        b = rng.normal(0.0, 1.0, (13, 3, 3))
+        lips = VertexRegionMask(np.array([0, 2]))
+        whole = (dtw(a, b), dtw(a[:, 0, 0], b[:, 0, 0]), ldtw(seq(a), seq(b), lips))
+        # a tiny budget forces several blocks, down to one row per block
+        for budget in (5, 50, 200):
+            monkeypatch.setattr(metrics, "_COST_BLOCK_ELEMENTS", budget)
+            blocked = (dtw(a, b), dtw(a[:, 0, 0], b[:, 0, 0]), ldtw(seq(a), seq(b), lips))
+            assert blocked == whole
+
+    def test_block_cost_contract(self):
+        # a custom cost receives a row block of a and all of b
+        seen = []
+
+        def cost(rows, b):
+            seen.append((rows.shape, b.shape))
+            return np.abs(rows[:, None] - b[None, :])
+
+        result = dtw(np.arange(4.0), np.arange(3.0), cost)
+        assert seen == [((4,), (3,))]
+        assert result.distance == 1.0
+        assert result.path == ((0, 0), (1, 1), (2, 2), (3, 2))
 
 
 class TestLdtw:

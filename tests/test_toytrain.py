@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from visemekit import toytrain
 from visemekit import (
     ConstraintError,
     DivergenceError,
@@ -10,8 +11,16 @@ from visemekit import (
     ToyModel,
     TrainConfig,
     VertexRegionMask,
+    WindowSpec,
     ablate_window,
+    coarticulation_weights,
     fit,
+    grad_loss_pc,
+    grad_loss_rec,
+    grad_loss_vel,
+    loss_pc,
+    loss_rec,
+    loss_vel,
     objective_and_gradient,
     predict,
     temporal_basis,
@@ -87,6 +96,77 @@ class TestObjectiveGradient:
                 lambda c: objective_and_gradient(gt, c, cfg)[0], coef, 1e-4
             )
             assert relative_gradient_error(analytic, numeric) <= 1e-4
+
+
+def direct_objective(gt, coef, cfg, basis):
+    """The objective composed the slow way: losses on the basis prediction."""
+    pred = seq(np.tensordot(basis, coef, axes=(1, 0)))
+    if cfg.loss_choice is LossKind.PC:
+        weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+        total = loss_pc(gt, pred, weights).total
+        grad = grad_loss_pc(gt, pred, weights)
+    else:
+        total = loss_rec(gt, pred).total
+        grad = grad_loss_rec(gt, pred)
+    total += cfg.vel_coefficient * loss_vel(gt, pred).total
+    grad = grad + cfg.vel_coefficient * grad_loss_vel(gt, pred)
+    return total, np.tensordot(basis, grad, axes=(0, 0))
+
+
+QUADRATIC_CASES = [
+    (kind, mu) for kind in (LossKind.REC, LossKind.PC) for mu in (0.0, 0.3)
+]
+
+
+class TestQuadraticForm:
+    @pytest.mark.parametrize("kind,mu", QUADRATIC_CASES)
+    def test_matches_direct_composition(self, kind, mu):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            num_frames = int(rng.integers(2, 40))
+            num_basis = int(rng.integers(1, num_frames))
+            num_vertices = int(rng.integers(1, 6))
+            gt = seq(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)))
+            coef = rng.normal(0.0, 1.0, (num_basis, num_vertices, 3))
+            cfg = TrainConfig(loss_choice=kind, vel_coefficient=mu, sigma=int(rng.integers(0, 4)))
+            basis = temporal_basis(num_frames, num_basis)
+            want_total, want_grad = direct_objective(gt, coef, cfg, basis)
+            total, grad = objective_and_gradient(gt, coef, cfg)
+            assert total == pytest.approx(want_total, rel=1e-12)
+            assert grad.shape == coef.shape
+            assert relative_gradient_error(grad, want_grad) <= 1e-12
+
+    @pytest.mark.parametrize("kind,mu", QUADRATIC_CASES)
+    def test_first_loss_is_direct_objective_at_initialization(self, kind, mu):
+        rng = np.random.default_rng(31)
+        for seed in range(5):
+            num_frames = int(rng.integers(3, 40))
+            num_basis = int(rng.integers(1, num_frames))
+            num_vertices = int(rng.integers(1, 6))
+            gt = seq(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)))
+            cfg = TrainConfig(
+                loss_choice=kind, vel_coefficient=mu, steps=1, seed=seed, num_basis=num_basis
+            )
+            _, report = fit(gt, cfg)
+            init = np.random.default_rng(seed).uniform(-0.01, 0.01, (num_basis, num_vertices, 3))
+            want, _ = direct_objective(gt, init, cfg, temporal_basis(num_frames, num_basis))
+            assert report.loss_curve[0] == pytest.approx(want, rel=1e-12)
+
+    def test_long_fit_approaches_minimum_from_above(self):
+        rng = np.random.default_rng(32)
+        gt = seq(rng.normal(0.0, 1.0, (16, 2, 3)))
+        cfg = TrainConfig(loss_choice=LossKind.PC, vel_coefficient=0.3, sigma=1,
+                          learning_rate=0.1, steps=3000, num_basis=4)
+        basis = temporal_basis(16, 4)
+        weights = coarticulation_weights(gt, WindowSpec(1))
+        gram, rhs, _ = toytrain._quadratic_form(gt, cfg, basis, weights)
+        best = np.linalg.solve(gram, rhs).reshape(4, 2, 3)
+        minimum, _ = direct_objective(gt, best, cfg, basis)
+        _, report = fit(gt, cfg)
+        curve = report.loss_curve
+        assert np.all(curve >= minimum * (1.0 - 1e-12))
+        assert np.all(np.diff(curve) <= 1e-12)
+        assert curve[-1] == pytest.approx(minimum, rel=1e-9)
 
 
 class TestFit:
@@ -190,6 +270,12 @@ class TestTrainConfig:
             TrainConfig(vel_coefficient=-0.1)
         with pytest.raises(ConstraintError):
             TrainConfig(sigma=-1)
+
+    @pytest.mark.parametrize("field", ["vel_coefficient", "learning_rate", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConstraintError):
+            TrainConfig(**{field: value})
 
     def test_sigma_follows_window_rule(self):
         with pytest.raises(ConstraintError, match="window radius"):
