@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io, metrics, synth, toytrain
+from . import io, metrics, toytrain
 from .coarticulation import (
     BoundaryPolicy,
     LossKind,
@@ -31,7 +31,7 @@ from .coarticulation import (
     loss_vel,
     relative_gradient_error,
 )
-from .errors import ConstraintError, FormatError
+from .errors import ConstraintError, FormatError, require_integer
 from .mesh import MeshSequence, VertexRegionMask
 
 __all__ = ["main"]
@@ -94,9 +94,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    require_integer(args.count, "--count", 1)
     spec = io.parse_synth_spec(Path(args.spec).read_text())
     specs = [replace(spec, seed=spec.seed + i) for i in range(args.count)]
-    records = synth.make_corpus(specs, args.out)
+    records = io.make_corpus(specs, args.out)
     for record in records:
         print(f"wrote {record.sequence_path} (seed {record.seed})")
     print(f"manifest: {Path(args.out) / 'manifest.txt'}")
@@ -162,6 +163,8 @@ def _parse_sigmas(text: str) -> list[int]:
 
 
 def cmd_gradcheck(args) -> int:
+    require_integer(args.trials, "--trials", 1)
+    require_integer(args.seed, "--seed")
     rng = np.random.default_rng(args.seed)
     worst: dict[str, float] = {"rec": 0.0, "vel": 0.0, "pc": 0.0, "toy": 0.0}
 

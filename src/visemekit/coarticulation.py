@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConstraintError
+from .errors import ConstraintError, require_integer
 from .mesh import MeshSequence, frame_difference_norms, require_same_shape
 
 __all__ = [
@@ -63,9 +63,7 @@ class WindowSpec:
     policy: BoundaryPolicy = BoundaryPolicy.CLAMP
 
     def __post_init__(self):
-        if not math.isfinite(self.sigma) or int(self.sigma) != self.sigma or self.sigma < 0:
-            raise ConstraintError(f"window radius must be a nonnegative integer, got {self.sigma}")
-        object.__setattr__(self, "sigma", int(self.sigma))
+        object.__setattr__(self, "sigma", require_integer(self.sigma, "window radius"))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule.
 
 The CLI maps these onto exit codes: ConstraintError -> 1, FormatError -> 2.
 """
+
+import math
 
 
 class VisemekitError(Exception):
@@ -23,3 +25,13 @@ class DivergenceError(ConstraintError):
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"loss became non-finite at step {step}")
+
+
+def require_integer(value, name: str, minimum: int = 0) -> int:
+    """Return `value` as an int, or raise ConstraintError unless it is a
+    finite integral number >= minimum (so 3.0 passes and 2.5 or nan fail).
+    Window radii, step and basis counts, seeds and CLI counts share it."""
+    if not math.isfinite(value) or int(value) != value or value < minimum:
+        bound = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ConstraintError(f"{name} must be {bound}, got {value}")
+    return int(value)

@@ -1,4 +1,6 @@
-"""File formats: MSQ sequences, OBJ import, masks, annotations, CSV reports.
+"""The file layer: MSQ sequences, masks, annotations, CSV reports, the
+key = value texts of specs and configs, and corpus directories with their
+manifest. The modules below it only compute; none of them touches a file.
 
 Anything that fails structurally (bad magic, truncation, unparseable line)
 raises FormatError with enough context to find the offending byte or line.
@@ -8,8 +10,10 @@ Values that parse but violate a contract raise ConstraintError downstream.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +22,12 @@ from . import metrics
 from .coarticulation import CoarticulationWeights, LossKind, LossReport
 from .errors import ConstraintError, FormatError
 from .mesh import MeshSequence, VertexRegionMask
-from .synth import SegmentAnnotation, SynthSpec
+from .synth import SegmentAnnotation, SynthSpec, gen_viseme_track
 from .toytrain import AblationResult, TrainConfig, TrainReport
 
 __all__ = [
     "write_msq",
     "read_msq",
-    "import_obj_sequence",
     "read_mask",
     "write_annotation",
     "read_annotation",
@@ -35,6 +38,9 @@ __all__ = [
     "parse_synth_spec",
     "format_train_config",
     "parse_train_config",
+    "CorpusRecord",
+    "spec_hash",
+    "make_corpus",
 ]
 
 # Binary sequence container: magic, frame count u32, vertex count u32,
@@ -88,42 +94,6 @@ def read_msq(path) -> MeshSequence:
             f"component {component}"
         )
     frames = flat.astype(np.float64).reshape(num_frames, num_vertices, 3)
-    return MeshSequence(frames, fps)
-
-
-def import_obj_sequence(dir_path, fps: float) -> MeshSequence:
-    """Read every *.obj in a directory (lexicographic order) as one sequence.
-
-    Only `v x y z` lines are consumed; all other directives are ignored.
-    Every file must carry the same vertex count.
-    """
-    paths = sorted(Path(dir_path).glob("*.obj"))
-    if not paths:
-        raise FormatError(f"no .obj files in {dir_path}")
-    frames = []
-    first_name = paths[0].name
-    for path in paths:
-        vertices = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            tokens = line.split()
-            if not tokens or tokens[0] != "v":
-                continue
-            if len(tokens) != 4:
-                raise FormatError(f"{path.name}:{lineno}: bad vertex line: {line!r}")
-            try:
-                vertices.append([float(t) for t in tokens[1:]])
-            except ValueError:
-                raise FormatError(
-                    f"{path.name}:{lineno}: bad vertex line: {line!r}"
-                ) from None
-        if not vertices:
-            raise FormatError(f"{path.name}: no vertices")
-        if frames and len(vertices) != len(frames[0]):
-            raise FormatError(
-                f"vertex count mismatch: {first_name} has {len(frames[0])} "
-                f"vertices, {path.name} has {len(vertices)}"
-            )
-        frames.append(vertices)
     return MeshSequence(frames, fps)
 
 
@@ -439,3 +409,46 @@ def parse_train_config(text: str) -> TrainConfig:
     except ValueError as exc:
         raise FormatError(f"bad config value: {exc}") from None
     return TrainConfig(**kwargs)
+
+
+# -- corpus generation ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CorpusRecord:
+    sequence_path: str
+    annotation_path: str
+    seed: int
+    spec_sha256: str
+
+
+def spec_hash(spec: SynthSpec) -> str:
+    """SHA-256 of the spec's canonical text rendering (see format_synth_spec)."""
+    return hashlib.sha256(format_synth_spec(spec).encode("utf-8")).hexdigest()
+
+
+def make_corpus(specs: list[SynthSpec], out_dir) -> list[CorpusRecord]:
+    """Generate every spec into `out_dir` and write a manifest.
+
+    Emits trackNNN.msq + trackNNN.ann.csv per spec and manifest.txt with one
+    tab-separated record per sequence: sequence path, annotation path, seed,
+    spec hash. Regenerating from the same specs reproduces identical bytes.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    records: list[CorpusRecord] = []
+    for i, spec in enumerate(specs):
+        seq, annotation = gen_viseme_track(spec)
+        seq_name = f"track{i:03d}.msq"
+        ann_name = f"track{i:03d}.ann.csv"
+        write_msq(seq, out / seq_name)
+        write_annotation(annotation, out / ann_name)
+        records.append(CorpusRecord(seq_name, ann_name, spec.seed, spec_hash(spec)))
+
+    lines = ["# sequence\tannotation\tseed\tspec_sha256"]
+    lines += [
+        f"{r.sequence_path}\t{r.annotation_path}\t{r.seed}\t{r.spec_sha256}"
+        for r in records
+    ]
+    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return records

@@ -17,9 +17,6 @@ from .errors import ConstraintError
 __all__ = [
     "MeshSequence",
     "VertexRegionMask",
-    "ValidationResult",
-    "validate_sequence",
-    "translate_sequence",
     "frame_difference_norms",
 ]
 
@@ -99,75 +96,12 @@ class VertexRegionMask:
         return cls(np.arange(num_vertices), region_name)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    error: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_sequence(frames, fps) -> ValidationResult:
-    """Diagnose raw frame data and a frame rate without raising.
-
-    Checks what MeshSequence requires plus coordinate finiteness, and returns
-    the first violation with a diagnostic that names the offending frame (and
-    vertex, for non-finite coordinates). Accepts ragged per-frame data so
-    broken inputs can be diagnosed rather than crash.
-    """
-    if not np.isfinite(fps) or fps <= 0:
-        return ValidationResult(False, f"fps must be positive, got {fps}")
-
-    try:
-        num_frames = len(frames)
-    except TypeError:
-        return ValidationResult(False, "frames is not a sequence of frames")
-    if num_frames < 1:
-        return ValidationResult(False, "sequence must have at least one frame (T >= 1)")
-
-    first_shape = np.shape(frames[0])
-    if len(first_shape) != 2 or first_shape[1] != 3:
-        return ValidationResult(
-            False, f"frame 0 must have shape (V, 3), got {first_shape}"
-        )
-    num_vertices = first_shape[0]
-    if num_vertices < 1:
-        return ValidationResult(False, "frames must have at least one vertex (V >= 1)")
-
-    for t in range(num_frames):
-        shape = np.shape(frames[t])
-        if shape != first_shape:
-            return ValidationResult(
-                False,
-                f"vertex count mismatch: frame {t} has shape {shape}, "
-                f"frame 0 has shape {first_shape}",
-            )
-        frame = np.asarray(frames[t], dtype=np.float64)
-        bad = ~np.isfinite(frame)
-        if bad.any():
-            v, c = np.argwhere(bad)[0]
-            return ValidationResult(
-                False,
-                f"non-finite coordinate at frame {t}, vertex {v} (component {c})",
-            )
-    return ValidationResult(True)
-
-
 def require_same_shape(gt: MeshSequence, pred: MeshSequence) -> tuple[np.ndarray, np.ndarray]:
     """Return both frame arrays, raising if their (T, V, 3) shapes differ."""
     a, b = gt.frames, pred.frames
     if a.shape != b.shape:
         raise ConstraintError(f"shape mismatch: gt {a.shape} vs pred {b.shape}")
     return a, b
-
-
-def translate_sequence(seq: MeshSequence, offset) -> MeshSequence:
-    """Shift every vertex of every frame by a constant 3-vector."""
-    off = np.asarray(offset, dtype=np.float64)
-    if off.shape != (3,) or not np.all(np.isfinite(off)):
-        raise ConstraintError(f"offset must be a finite 3-vector, got {offset!r}")
-    return MeshSequence(seq.frames + off, seq.fps, seq.label)
 
 
 def frame_difference_norms(seq: MeshSequence) -> np.ndarray:

@@ -20,13 +20,9 @@ from .mesh import MeshSequence, VertexRegionMask, require_same_shape
 __all__ = [
     "MetricReport",
     "DtwResult",
-    "fve",
-    "lve",
-    "lip_max",
     "dtw",
     "ldtw",
     "evaluate",
-    "per_frame_vertex_errors",
 ]
 
 
@@ -58,32 +54,6 @@ class DtwResult:
     @property
     def path_length(self) -> int:
         return len(self.path)
-
-
-def per_frame_vertex_errors(gt: MeshSequence, pred: MeshSequence) -> np.ndarray:
-    """Euclidean distance per frame and vertex, shape (T, V)."""
-    a, b = require_same_shape(gt, pred)
-    return np.linalg.norm(a - b, axis=2)
-
-
-def _masked(errors: np.ndarray, lips: VertexRegionMask) -> np.ndarray:
-    lips.validate_for(errors.shape[1])
-    return errors[:, lips.indices]
-
-
-def fve(gt: MeshSequence, pred: MeshSequence) -> float:
-    """Face vertex error: mean over vertices per frame, then mean over frames."""
-    return float(per_frame_vertex_errors(gt, pred).mean(axis=1).mean())
-
-
-def lve(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:
-    """Lip vertex error: as fve, averaged over the lip region only."""
-    return float(_masked(per_frame_vertex_errors(gt, pred), lips).mean(axis=1).mean())
-
-
-def lip_max(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:
-    """Mean over frames of the largest lip vertex error in each frame."""
-    return float(_masked(per_frame_vertex_errors(gt, pred), lips).max(axis=1).mean())
 
 
 # -- dynamic time warping -----------------------------------------------------
@@ -209,8 +179,10 @@ def ldtw(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:
 
 def evaluate(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> MetricReport:
     """Compute all four metrics in one pass."""
-    errors = per_frame_vertex_errors(gt, pred)
-    lip_errors = _masked(errors, lips)
+    a, b = require_same_shape(gt, pred)
+    lips.validate_for(a.shape[1])
+    errors = np.linalg.norm(a - b, axis=2)
+    lip_errors = errors[:, lips.indices]
     per_frame_fve = errors.mean(axis=1)
     per_frame_lve = lip_errors.mean(axis=1)
     return MetricReport(

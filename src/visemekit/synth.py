@@ -9,26 +9,21 @@ for segment-conditioned evaluation.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .coarticulation import WindowSpec, coarticulation_weights
-from .errors import ConstraintError
+from .errors import ConstraintError, require_integer
 from .mesh import MeshSequence
 
 __all__ = [
     "SynthSpec",
     "SegmentAnnotation",
-    "CorpusRecord",
     "gen_viseme_track",
     "inject_jitter",
-    "make_corpus",
-    "spec_hash",
     "demo_spec",
 ]
 
@@ -76,6 +71,7 @@ def _validate_spec(spec: SynthSpec) -> None:
         raise ConstraintError("blend_halfwidth must be >= 0")
     if spec.jitter_amplitude < 0:
         raise ConstraintError("jitter_amplitude must be >= 0")
+    require_integer(spec.seed, "seed")
     if not spec.viseme_targets:
         raise ConstraintError("need at least one viseme target")
     times = [t for t, _ in spec.viseme_targets]
@@ -176,53 +172,6 @@ def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequenc
     tag = f"jitter(uniform,pcg64,amp={amplitude:g},seed={seed})"
     label = f"{seq.label}+{tag}" if seq.label else tag
     return MeshSequence(seq.frames + noise, seq.fps, label)
-
-
-# -- corpus generation ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorpusRecord:
-    sequence_path: str
-    annotation_path: str
-    seed: int
-    spec_sha256: str
-
-
-def spec_hash(spec: SynthSpec) -> str:
-    """SHA-256 of the spec's canonical text rendering (see io.format_synth_spec)."""
-    from .io import format_synth_spec
-
-    return hashlib.sha256(format_synth_spec(spec).encode("utf-8")).hexdigest()
-
-
-def make_corpus(specs: list[SynthSpec], out_dir) -> list[CorpusRecord]:
-    """Generate every spec into `out_dir` and write a manifest.
-
-    Emits trackNNN.msq + trackNNN.ann.csv per spec and manifest.txt with one
-    tab-separated record per sequence: sequence path, annotation path, seed,
-    spec hash. Regenerating from the same specs reproduces identical bytes.
-    """
-    from .io import write_annotation, write_msq
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    records: list[CorpusRecord] = []
-    for i, spec in enumerate(specs):
-        seq, annotation = gen_viseme_track(spec)
-        seq_name = f"track{i:03d}.msq"
-        ann_name = f"track{i:03d}.ann.csv"
-        write_msq(seq, out / seq_name)
-        write_annotation(annotation, out / ann_name)
-        records.append(CorpusRecord(seq_name, ann_name, spec.seed, spec_hash(spec)))
-
-    lines = ["# sequence\tannotation\tseed\tspec_sha256"]
-    lines += [
-        f"{r.sequence_path}\t{r.annotation_path}\t{r.seed}\t{r.spec_sha256}"
-        for r in records
-    ]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return records
 
 
 # -- a ready-made corpus recipe -------------------------------------------------

@@ -26,7 +26,7 @@ from .coarticulation import (
     loss_rec,
     loss_vel,
 )
-from .errors import ConstraintError, DivergenceError
+from .errors import ConstraintError, DivergenceError, require_integer
 from .mesh import MeshSequence, VertexRegionMask
 from .synth import SegmentAnnotation
 
@@ -109,8 +109,10 @@ class TrainConfig:
             raise ConstraintError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
-        if self.steps < 0:
-            raise ConstraintError("steps must be >= 0")
+        object.__setattr__(self, "steps", require_integer(self.steps, "steps"))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
+        if self.num_basis is not None:
+            object.__setattr__(self, "num_basis", require_integer(self.num_basis, "num_basis", 1))
         object.__setattr__(self, "sigma", WindowSpec(self.sigma).sigma)
 
 

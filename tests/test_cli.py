@@ -213,6 +213,21 @@ class TestGen:
         assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert "fps" in capsys.readouterr().err
 
+    def test_negative_seed(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT.replace("seed = 3", "seed = -1\njitter_amplitude = 0.01"))
+        assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one(self, tmp_path, capsys, count):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT)
+        out = tmp_path / "o"
+        assert main(["gen", "--spec", str(spec), "--out", str(out), "--count", count]) == 1
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_outputs(self, tmp_path, capsys):
@@ -269,6 +284,15 @@ class TestTrain:
         assert "learning_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        gt = msq(tmp_path, "gt.msq", np.zeros((8, 1, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("seed = -1\nsteps = 5\nnum_basis = 2\n")
+        out = tmp_path / "run"
+        assert main(["train", "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblate:
     def test_table_and_best_sigma(self, tmp_path, capsys):
@@ -303,6 +327,13 @@ class TestAblate:
         assert main(["ablate", "--gt", gt, "--sigmas", "a,b"]) == 1
         assert "bad sigma list" in capsys.readouterr().err
 
+    def test_negative_seed(self, tmp_path, capsys):
+        gt = msq(tmp_path, "gt.msq", np.zeros((8, 1, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("seed = -1\nsteps = 5\nnum_basis = 2\n")
+        assert main(["ablate", "--gt", gt, "--sigmas", "1", "--config", str(cfg)]) == 1
+        assert "seed" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_quickly(self, capsys):
@@ -325,6 +356,17 @@ class TestGradcheck:
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--trials", "2", "--tolerance", "1e-30"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one(self, capsys, trials):
+        assert main(["gradcheck", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert "OK" not in captured.out
+
+    def test_negative_seed(self, capsys):
+        assert main(["gradcheck", "--trials", "1", "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestParser:

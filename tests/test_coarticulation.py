@@ -23,7 +23,6 @@ from visemekit import (
     motion_energy,
     relative_gradient_error,
     strict_frame_range,
-    translate_sequence,
 )
 
 # 1-based frames (0,0,0), (1,0,0), (1,0,0): step norms 1 then 0, so with
@@ -164,7 +163,7 @@ class TestCoarticulationWeights:
     def test_translation_invariance(self):
         rng = np.random.default_rng(6)
         s = rand_seq(rng, 10, 3)
-        shifted = translate_sequence(s, [1e3, -4.0, 7.5])
+        shifted = MeshSequence(s.frames + [1e3, -4.0, 7.5], s.fps)
         a = coarticulation_weights(s).weights
         b = coarticulation_weights(shifted).weights
         assert a == pytest.approx(b, abs=1e-9)
@@ -274,7 +273,7 @@ class TestLosses:
         gt = rand_seq(rng, 6, 3)
         assert loss_vel(gt, gt).total == 0.0
         # a constant offset has zero velocity difference
-        assert loss_vel(gt, translate_sequence(gt, [0.7, 0, 0])).total == pytest.approx(0.0, abs=1e-18)
+        assert loss_vel(gt, MeshSequence(gt.frames + [0.7, 0, 0], gt.fps)).total == pytest.approx(0.0, abs=1e-18)
 
     def test_vel_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -293,7 +292,7 @@ class TestLosses:
 
     def test_pc_micro_example_unit_offset(self):
         gt = seq(MICRO_FRAMES)
-        pred = translate_sequence(gt, [1.0, 0.0, 0.0])
+        pred = MeshSequence(gt.frames + [1.0, 0.0, 0.0], gt.fps)
         w = coarticulation_weights(gt, WindowSpec(1))
         assert loss_pc(gt, pred, w).total == pytest.approx(1.0, abs=1e-12)
 

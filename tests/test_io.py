@@ -21,7 +21,6 @@ from visemekit import (
     format_csv_report,
     format_synth_spec,
     format_train_config,
-    import_obj_sequence,
     loss_pc,
     loss_rec,
     loss_vel,
@@ -130,47 +129,6 @@ class TestMsq:
         bad[0, 0, 0] = np.inf
         with pytest.raises(ConstraintError):
             write_msq(MeshSequence(bad, 30.0), path)
-
-
-class TestObjImport:
-    def test_two_files_in_name_order(self, tmp_path):
-        (tmp_path / "f002.obj").write_text("v 4 5 6\nv 7 8 9\n")
-        (tmp_path / "f001.obj").write_text(
-            "# comment\nv 1 2 3\nvn 0 0 1\nv 1 2 4\nf 1 2 1\n"
-        )
-        loaded = import_obj_sequence(tmp_path, fps=24.0)
-        frames = np.asarray(loaded.frames)
-        assert frames.shape == (2, 2, 3)
-        assert frames[0].tolist() == [[1, 2, 3], [1, 2, 4]]
-        assert frames[1].tolist() == [[4, 5, 6], [7, 8, 9]]
-        assert loaded.fps == 24.0
-
-    def test_vertex_count_mismatch_names_both_files(self, tmp_path):
-        (tmp_path / "a.obj").write_text("v 0 0 0\n")
-        (tmp_path / "b.obj").write_text("v 0 0 0\nv 1 1 1\n")
-        with pytest.raises(
-            FormatError, match="a.obj has 1 vertices, b.obj has 2"
-        ):
-            import_obj_sequence(tmp_path, fps=30.0)
-
-    def test_bad_vertex_line_located(self, tmp_path):
-        (tmp_path / "a.obj").write_text("v 0 0 0\nv one 2 3\n")
-        with pytest.raises(FormatError, match="a.obj:2: bad vertex line"):
-            import_obj_sequence(tmp_path, fps=30.0)
-
-    def test_wrong_token_count_rejected(self, tmp_path):
-        (tmp_path / "a.obj").write_text("v 0 0\n")
-        with pytest.raises(FormatError, match="a.obj:1"):
-            import_obj_sequence(tmp_path, fps=30.0)
-
-    def test_empty_directory(self, tmp_path):
-        with pytest.raises(FormatError, match="no .obj files"):
-            import_obj_sequence(tmp_path, fps=30.0)
-
-    def test_bad_fps(self, tmp_path):
-        (tmp_path / "a.obj").write_text("v 0 0 0\n")
-        with pytest.raises(ConstraintError, match="fps"):
-            import_obj_sequence(tmp_path, fps=-5.0)
 
 
 class TestMask:

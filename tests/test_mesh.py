@@ -6,48 +6,12 @@ from visemekit import (
     MeshSequence,
     VertexRegionMask,
     frame_difference_norms,
-    translate_sequence,
-    validate_sequence,
 )
 from visemekit.mesh import require_same_shape
 
 
 def seq(frames, fps=30.0):
     return MeshSequence(np.asarray(frames, dtype=np.float64), fps)
-
-
-class TestValidateSequence:
-    def test_good_sequence(self):
-        result = validate_sequence(np.zeros((4, 3, 3)), 30.0)
-        assert result.ok
-        assert bool(result)
-        assert result.error is None
-
-    def test_bad_fps(self):
-        result = validate_sequence(np.zeros((2, 1, 3)), 0.0)
-        assert not result.ok
-        assert "fps" in result.error
-
-    def test_vertex_count_mismatch_names_frame(self):
-        frames = [np.zeros((2, 3)), np.zeros((3, 3))]
-        result = validate_sequence(frames, 30.0)
-        assert not result.ok
-        assert "frame 1" in result.error
-
-    def test_nonfinite_names_frame_and_vertex(self):
-        frames = np.zeros((3, 2, 3))
-        frames[1, 1, 2] = np.nan
-        result = validate_sequence(frames, 30.0)
-        assert not result.ok
-        assert "frame 1" in result.error and "vertex 1" in result.error
-
-    def test_empty(self):
-        result = validate_sequence(np.zeros((0, 1, 3)), 30.0)
-        assert not result.ok
-
-    def test_wrong_coordinate_arity(self):
-        result = validate_sequence(np.zeros((2, 2, 2)), 30.0)
-        assert not result.ok
 
 
 class TestAsFrames:
@@ -115,15 +79,6 @@ class TestVertexRegionMask:
     def test_full(self):
         mask = VertexRegionMask.full(4)
         assert mask.indices.tolist() == [0, 1, 2, 3]
-
-
-def test_translate_sequence():
-    out = translate_sequence(seq(np.zeros((2, 2, 3))), [1.0, 2.0, 3.0])
-    assert np.array_equal(out.frames[1, 1], [1.0, 2.0, 3.0])
-    with pytest.raises(ConstraintError):
-        translate_sequence(seq(np.zeros((2, 2, 3))), [np.inf, 0.0, 0.0])
-    with pytest.raises(ConstraintError):
-        translate_sequence(seq(np.zeros((2, 2, 3))), [1.0, 2.0])
 
 
 class TestFrameDifferenceNorms:

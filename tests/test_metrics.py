@@ -11,11 +11,7 @@ from visemekit import (
     VertexRegionMask,
     dtw,
     evaluate,
-    fve,
     ldtw,
-    lip_max,
-    lve,
-    translate_sequence,
 )
 
 
@@ -28,38 +24,42 @@ def rand_seq(rng, num_frames, num_vertices):
 
 
 class TestFrameMetrics:
+    """FVE, LVE and Lip-max as `evaluate` reports them."""
+
     def test_identity_all_zero(self):
         rng = np.random.default_rng(0)
         s = rand_seq(rng, 5, 4)
         lips = VertexRegionMask(np.array([0, 2]))
-        assert fve(s, s) == 0.0
-        assert lve(s, s, lips) == 0.0
-        assert lip_max(s, s, lips) == 0.0
+        report = evaluate(s, s, lips)
+        assert report.fve == 0.0
+        assert report.lve == 0.0
+        assert report.lip_max == 0.0
         assert ldtw(s, s, lips) == 0.0
 
     def test_uniform_offset(self):
         rng = np.random.default_rng(1)
         gt = rand_seq(rng, 6, 5)
-        pred = translate_sequence(gt, [0.3, 0.0, 0.0])
-        lips = VertexRegionMask(np.array([1, 3]))
-        assert fve(gt, pred) == pytest.approx(0.3, abs=1e-12)
-        assert lve(gt, pred, lips) == pytest.approx(0.3, abs=1e-12)
-        assert lip_max(gt, pred, lips) == pytest.approx(0.3, abs=1e-12)
+        pred = MeshSequence(gt.frames + [0.3, 0.0, 0.0], gt.fps)
+        report = evaluate(gt, pred, VertexRegionMask(np.array([1, 3])))
+        assert report.fve == pytest.approx(0.3, abs=1e-12)
+        assert report.lve == pytest.approx(0.3, abs=1e-12)
+        assert report.lip_max == pytest.approx(0.3, abs=1e-12)
 
     def test_lve_full_mask_equals_fve(self):
         rng = np.random.default_rng(2)
         gt, pred = rand_seq(rng, 7, 6), rand_seq(rng, 7, 6)
-        assert lve(gt, pred, VertexRegionMask.full(6)) == pytest.approx(fve(gt, pred), abs=1e-12)
+        report = evaluate(gt, pred, VertexRegionMask.full(6))
+        assert report.lve == pytest.approx(report.fve, abs=1e-12)
 
     def test_matches_oracles(self):
         rng = np.random.default_rng(3)
         gt, pred = rand_seq(rng, 6, 5), rand_seq(rng, 6, 5)
         lips = [0, 2, 4]
         g, p = gt.frames.tolist(), pred.frames.tolist()
-        assert fve(gt, pred) == pytest.approx(oracles.fve(g, p), rel=1e-12)
-        mask = VertexRegionMask(np.array(lips))
-        assert lve(gt, pred, mask) == pytest.approx(oracles.lve(g, p, lips), rel=1e-12)
-        assert lip_max(gt, pred, mask) == pytest.approx(oracles.lip_max(g, p, lips), rel=1e-12)
+        report = evaluate(gt, pred, VertexRegionMask(np.array(lips)))
+        assert report.fve == pytest.approx(oracles.fve(g, p), rel=1e-12)
+        assert report.lve == pytest.approx(oracles.lve(g, p, lips), rel=1e-12)
+        assert report.lip_max == pytest.approx(oracles.lip_max(g, p, lips), rel=1e-12)
 
     def test_lip_max_single_displacement(self):
         gt = seq(np.zeros((2, 3, 3)))
@@ -67,22 +67,24 @@ class TestFrameMetrics:
         frames[0, 1, 0] = 0.5  # one lip vertex off in one of two frames
         pred = seq(frames)
         lips = VertexRegionMask(np.array([0, 1]))
-        assert lip_max(gt, pred, lips) == pytest.approx(0.25, abs=1e-15)
+        assert evaluate(gt, pred, lips).lip_max == pytest.approx(0.25, abs=1e-15)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
         gt, pred = rand_seq(rng, 5, 4), rand_seq(rng, 5, 4)
         off = [2.5, -1.0, 0.25]
-        gt2, pred2 = translate_sequence(gt, off), translate_sequence(pred, off)
-        assert fve(gt2, pred2) == pytest.approx(fve(gt, pred), abs=1e-9)
+        gt2 = MeshSequence(gt.frames + off, gt.fps)
+        pred2 = MeshSequence(pred.frames + off, pred.fps)
         lips = VertexRegionMask(np.array([1, 2]))
-        assert lve(gt2, pred2, lips) == pytest.approx(lve(gt, pred, lips), abs=1e-9)
+        before, after = evaluate(gt, pred, lips), evaluate(gt2, pred2, lips)
+        assert after.fve == pytest.approx(before.fve, abs=1e-9)
+        assert after.lve == pytest.approx(before.lve, abs=1e-9)
 
     def test_mask_out_of_range(self):
         rng = np.random.default_rng(5)
         gt, pred = rand_seq(rng, 3, 2), rand_seq(rng, 3, 2)
         with pytest.raises(ConstraintError):
-            lve(gt, pred, VertexRegionMask(np.array([5])))
+            evaluate(gt, pred, VertexRegionMask(np.array([5])))
 
 
 class TestDtw:
@@ -243,10 +245,7 @@ class TestEvaluate:
         gt, pred = rand_seq(rng, 6, 5), rand_seq(rng, 6, 5)
         lips = VertexRegionMask(np.array([0, 2, 4]))
         report = evaluate(gt, pred, lips)
-        assert report.fve == fve(gt, pred)
-        assert report.lve == lve(gt, pred, lips)
         assert report.ldtw == ldtw(gt, pred, lips)
-        assert report.lip_max == lip_max(gt, pred, lips)
         assert len(report.per_frame_fve) == 6
         assert len(report.per_frame_lve) == 6
         assert report.fve == pytest.approx(np.mean(report.per_frame_fve), abs=1e-9)

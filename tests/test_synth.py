@@ -117,6 +117,9 @@ class TestGenVisemeTrack:
         for fps in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConstraintError, match="fps"):
                 gen_viseme_track(two_shape_spec(fps=fps))
+        for seed in (-1, 2.5, float("nan")):
+            with pytest.raises(ConstraintError, match="seed"):
+                gen_viseme_track(two_shape_spec(seed=seed, jitter_amplitude=0.01))
 
 
 class TestInjectJitter:

@@ -283,6 +283,24 @@ class TestTrainConfig:
         cfg = TrainConfig(sigma=3.0)
         assert cfg.sigma == 3 and type(cfg.sigma) is int
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", float("nan")), ("steps", 2.5), ("steps", -1),
+            ("seed", -1), ("seed", 0.5), ("seed", float("inf")),
+            ("num_basis", 2.5), ("num_basis", 0), ("num_basis", float("nan")),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConstraintError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_integral_counts_stored_as_int(self):
+        cfg = TrainConfig(steps=3.0, seed=7.0, num_basis=2.0)
+        assert (cfg.steps, cfg.seed, cfg.num_basis) == (3, 7, 2)
+        assert all(type(v) is int for v in (cfg.steps, cfg.seed, cfg.num_basis))
+        assert TrainConfig(steps=0, seed=0).num_basis is None
+
 
 class TestAblateWindow:
     def test_row_counts_and_order(self):
