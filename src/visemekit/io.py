@@ -243,6 +243,12 @@ def format_csv_report(report) -> str:
         rows = _train_rows(report)
     else:
         raise TypeError(f"no CSV layout for {type(report).__name__}")
+    return _csv_text(rows)
+
+
+def _csv_text(rows) -> str:
+    """The one rows-to-text rule of every CSV report: comma-joined fields,
+    one line per row, a newline after the last."""
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
@@ -251,9 +257,9 @@ def write_csv_report(report, path) -> None:
 
 
 def write_loss_curve(curve, path) -> None:
-    lines = ["step,loss"]
-    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(np.asarray(curve, dtype=float))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [["step", "loss"]]
+    rows += [[str(i), _fmt(v)] for i, v in enumerate(np.asarray(curve, dtype=float))]
+    Path(path).write_text(_csv_text(rows))
 
 
 # -- key = value texts -----------------------------------------------------------

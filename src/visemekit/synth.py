@@ -59,7 +59,12 @@ class SegmentAnnotation:
     high_motion: np.ndarray
 
     def transition_mask(self) -> np.ndarray:
-        return np.array([lab == TRANSITION_LABEL for lab in self.labels])
+        return np.array(self.labels, dtype=object) == TRANSITION_LABEL
+
+
+def _require_amplitude(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConstraintError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _validate_spec(spec: SynthSpec) -> None:
@@ -67,10 +72,9 @@ def _validate_spec(spec: SynthSpec) -> None:
         raise ConstraintError("num_vertices must be >= 1")
     if not math.isfinite(spec.fps) or spec.fps <= 0:
         raise ConstraintError(f"fps must be positive and finite, got {spec.fps}")
-    if spec.blend_halfwidth < 0:
-        raise ConstraintError("blend_halfwidth must be >= 0")
-    if spec.jitter_amplitude < 0:
-        raise ConstraintError("jitter_amplitude must be >= 0")
+    if not spec.blend_halfwidth >= 0:  # inf is allowed: it clamps to half the gap
+        raise ConstraintError(f"blend_halfwidth must be >= 0, got {spec.blend_halfwidth}")
+    _require_amplitude(spec.jitter_amplitude, "jitter_amplitude")
     require_integer(spec.seed, "seed")
     if not spec.viseme_targets:
         raise ConstraintError("need at least one viseme target")
@@ -92,54 +96,39 @@ def _validate_spec(spec: SynthSpec) -> None:
             raise ConstraintError(f"shape {name!r} contains non-finite coordinates")
 
 
-def _blend_factor(u: float, lo: float, hi: float) -> float:
-    # Raised-cosine ramp from 0 at lo to 1 at hi; 1/2 at the midpoint.
-    if hi <= lo:
-        return 0.0 if u < 0.5 * (lo + hi) else 1.0
-    if u <= lo:
-        return 0.0
-    if u >= hi:
-        return 1.0
-    return 0.5 * (1.0 - np.cos(np.pi * (u - lo) / (hi - lo)))
-
-
 def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     """Render a spec into a mesh sequence plus its segment annotation.
 
-    Every clean frame is a convex combination of the two temporally nearest
-    bank shapes; jitter (if any) is layered on afterwards via inject_jitter
-    with the spec's seed, so the same spec always produces identical bytes.
+    One array pass covers every frame: each frame blends the anchor at or
+    before it into the next one with the raised-cosine factor alpha, which is
+    0 before the blend window, 1 after it and 1/2 at the anchors' midpoint.
+    Frames before the first anchor, after the last one, and every frame of a
+    one-target track sit on a flat end of the ramp. The labels come from the
+    same alpha ("transition" while 0 < alpha < 1, else the shape it holds),
+    and the high-motion flags from the clean render's windowed energy.
+    Jitter (if any) is layered on afterwards via inject_jitter with the
+    spec's seed, so the same spec always produces identical bytes.
     """
     _validate_spec(spec)
-    times = [t for t, _ in spec.viseme_targets]
-    shapes = [
-        np.asarray(spec.shape_bank[sid], dtype=np.float64)
-        for _, sid in spec.viseme_targets
-    ]
     ids = [sid for _, sid in spec.viseme_targets]
+    times = np.array([t for t, _ in spec.viseme_targets], dtype=np.float64)
+    shapes = np.array([spec.shape_bank[sid] for sid in ids], dtype=np.float64)
 
     num_frames = int(round(times[-1] * spec.fps)) + 1
-    frames = np.empty((num_frames, spec.num_vertices, 3))
-    labels: list[str] = []
-    for f in range(num_frames):
-        u = f / spec.fps
-        if u <= times[0]:
-            frames[f] = shapes[0]
-            labels.append(ids[0])
-            continue
-        if u >= times[-1]:
-            frames[f] = shapes[-1]
-            labels.append(ids[-1])
-            continue
-        seg = int(np.searchsorted(times, u, side="right")) - 1
-        mid = 0.5 * (times[seg] + times[seg + 1])
-        half = min(spec.blend_halfwidth, 0.5 * (times[seg + 1] - times[seg]))
-        alpha = _blend_factor(u, mid - half, mid + half)
-        frames[f] = (1.0 - alpha) * shapes[seg] + alpha * shapes[seg + 1]
-        if 0.0 < alpha < 1.0:
-            labels.append(TRANSITION_LABEL)
-        else:
-            labels.append(ids[seg] if alpha == 0.0 else ids[seg + 1])
+    u = np.arange(num_frames) / spec.fps
+    last = len(times) - 1
+    seg = np.clip(np.searchsorted(times, u, side="right") - 1, 0, max(last - 1, 0))
+    nxt = np.minimum(seg + 1, last)
+    mid = 0.5 * (times[seg] + times[nxt])
+    half = np.minimum(spec.blend_halfwidth, 0.5 * (times[nxt] - times[seg]))
+    lo, hi = mid - half, mid + half
+    with np.errstate(invalid="ignore"):  # 0/0 where the blend has zero width
+        ramp = 0.5 * (1.0 - np.cos(np.pi * (np.clip(u, lo, hi) - lo) / (hi - lo)))
+    alpha = np.where(hi > lo, ramp, u >= mid)
+    weight = alpha[:, None, None]
+    frames = (1.0 - weight) * shapes[seg] + weight * shapes[nxt]
+    choice = np.where(alpha == 0.0, seg, np.where(alpha == 1.0, nxt, last + 1))
+    labels = tuple(np.array(ids + [TRANSITION_LABEL], dtype=object)[choice])
 
     clean = MeshSequence(frames, spec.fps, spec.label)
 
@@ -148,7 +137,7 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     else:
         energy = np.zeros(num_frames)
     high_motion = energy > np.median(energy)
-    annotation = SegmentAnnotation(tuple(labels), high_motion)
+    annotation = SegmentAnnotation(labels, high_motion)
 
     track = clean
     if spec.jitter_amplitude > 0:
@@ -163,8 +152,8 @@ def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequenc
     calls are bitwise identical; the generator id is recorded in the label.
     Amplitude 0 returns the input unchanged.
     """
-    if amplitude < 0:
-        raise ConstraintError("jitter amplitude must be >= 0")
+    _require_amplitude(amplitude, "jitter amplitude")
+    seed = require_integer(seed, "seed")
     if amplitude == 0:
         return seq
     rng = np.random.default_rng(seed)

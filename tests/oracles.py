@@ -3,12 +3,16 @@
 Everything here is deliberately independent of the package: plain Python
 loops over nested lists, 1-based frame arithmetic where the definitions are
 1-based, and exhaustive enumeration instead of dynamic programming. Slow on
-purpose; only run on small instances.
+purpose; only run on small instances. The track renderer keeps numpy for its
+cosine and frame arithmetic, because the package's render must match it byte
+for byte.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def softmax(values):
@@ -191,3 +195,52 @@ def dtw_loop(a, b, cost):
         path.append((i, j))
     path.reverse()
     return acc[n - 1][m - 1], tuple(path)
+
+
+def _blend_factor(u, lo, hi):
+    # Raised-cosine ramp from 0 at lo to 1 at hi; 1/2 at the midpoint.
+    if hi <= lo:
+        return 0.0 if u < 0.5 * (lo + hi) else 1.0
+    if u <= lo:
+        return 0.0
+    if u >= hi:
+        return 1.0
+    return 0.5 * (1.0 - np.cos(np.pi * (u - lo) / (hi - lo)))
+
+
+def render_loop(spec):
+    """Render a synthesis spec one frame at a time, without validation or
+    jitter. Frames up to the first anchor copy its shape, frames from the last
+    anchor on copy the last shape, and every frame in between blends the two
+    anchors around it. Returns the (T, V, 3) clean frames and the labels.
+    """
+    times = [t for t, _ in spec.viseme_targets]
+    shapes = [
+        np.asarray(spec.shape_bank[sid], dtype=np.float64)
+        for _, sid in spec.viseme_targets
+    ]
+    ids = [sid for _, sid in spec.viseme_targets]
+
+    num_frames = int(round(times[-1] * spec.fps)) + 1
+    frames = np.empty((num_frames, spec.num_vertices, 3))
+    labels = []
+    for f in range(num_frames):
+        u = f / spec.fps
+        if u <= times[0]:
+            frames[f] = shapes[0]
+            labels.append(ids[0])
+            continue
+        if u >= times[-1]:
+            frames[f] = shapes[-1]
+            labels.append(ids[-1])
+            continue
+        seg = int(np.searchsorted(times, u, side="right")) - 1
+        mid = 0.5 * (times[seg] + times[seg + 1])
+        half = min(spec.blend_halfwidth, 0.5 * (times[seg + 1] - times[seg]))
+        alpha = _blend_factor(u, mid - half, mid + half)
+        frames[f] = (1.0 - alpha) * shapes[seg] + alpha * shapes[seg + 1]
+        if 0.0 < alpha < 1.0:
+            labels.append("transition")
+        else:
+            labels.append(ids[seg] if alpha == 0.0 else ids[seg + 1])
+    return frames, labels

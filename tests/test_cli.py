@@ -213,6 +213,18 @@ class TestGen:
         assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert "fps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("blend_halfwidth", "nan"), ("jitter_amplitude", "nan"), ("jitter_amplitude", "inf")],
+    )
+    def test_non_finite_blend_or_jitter(self, tmp_path, capsys, field, value):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT.replace("blend_halfwidth = 0.2", f"{field} = {value}"))
+        out = tmp_path / "o"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not list(out.glob("*.msq"))
+
     def test_negative_seed(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text(SPEC_TEXT.replace("seed = 3", "seed = -1\njitter_amplitude = 0.01"))

@@ -306,6 +306,13 @@ class TestCsvReports:
         write_loss_curve(np.array([2.0, 1.0, 0.5]), path)
         assert path.read_text() == "step,loss\n0,2\n1,1\n2,0.5\n"
 
+    def test_loss_curve_bytes(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_loss_curve([1.0 / 3.0, -2.5e-12, 1e20, 0.0, 123456789.5], path)
+        assert path.read_bytes() == (
+            b"step,loss\n0,0.333333333\n1,-2.5e-12\n2,1e+20\n3,0\n4,123456790\n"
+        )
+
 
 def two_shape_spec(**overrides):
     fields = dict(

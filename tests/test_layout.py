@@ -1,10 +1,14 @@
 """The package is an acyclic import stack, and every import of a package
-module sits at module level, where the stack can be read off the file."""
+module sits at module level, where the stack can be read off the file. The
+independent references the tests check the package against import nothing
+from it."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "visemekit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "visemekit"
+REFERENCES = [ROOT / "tests" / "oracles.py", ROOT / "tools" / "bruteforce_weights.py"]
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
@@ -84,3 +88,21 @@ def test_import_graph_is_acyclic():
 
     for name in MODULES:
         visit(name)
+
+
+def _imports_package(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "visemekit" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "visemekit"
+    return False
+
+
+def test_references_import_nothing_from_the_package():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in REFERENCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _imports_package(node)
+    ]
+    assert found == []

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visemekit import (
     ConstraintError,
@@ -120,6 +125,129 @@ class TestGenVisemeTrack:
         for seed in (-1, 2.5, float("nan")):
             with pytest.raises(ConstraintError, match="seed"):
                 gen_viseme_track(two_shape_spec(seed=seed, jitter_amplitude=0.01))
+        with pytest.raises(ConstraintError, match="blend_halfwidth"):
+            gen_viseme_track(two_shape_spec(blend_halfwidth=float("nan")))
+        for amplitude in (float("nan"), float("inf")):
+            with pytest.raises(ConstraintError, match="jitter_amplitude"):
+                gen_viseme_track(two_shape_spec(jitter_amplitude=amplitude))
+
+    def test_infinite_halfwidth_clamps_to_half_the_gap(self):
+        wide, _ = gen_viseme_track(two_shape_spec(blend_halfwidth=float("inf")))
+        half_gap, _ = gen_viseme_track(two_shape_spec(blend_halfwidth=0.5))
+        assert wide.frames.tobytes() == half_gap.frames.tobytes()
+
+
+def _render_like_loop(spec):
+    """What gen_viseme_track must return for `spec`, built on the loop
+    oracle: its clean frames, jittered the same way, its labels, and the
+    flags of above-median windowed energy of the clean frames."""
+    frames, labels = oracles.render_loop(spec)
+    clean = MeshSequence(frames, spec.fps, spec.label)
+    energy = np.zeros(clean.num_frames)
+    if clean.num_frames >= 2:
+        energy = coarticulation_weights(clean, WindowSpec()).raw_energy
+    track = clean
+    if spec.jitter_amplitude > 0:
+        track = inject_jitter(clean, spec.jitter_amplitude, spec.seed)
+    return track.frames, labels, energy > np.median(energy)
+
+
+def assert_matches_loop(spec):
+    seq, annotation = gen_viseme_track(spec)
+    frames, labels, high_motion = _render_like_loop(spec)
+    assert seq.frames.tobytes() == frames.tobytes()
+    assert list(annotation.labels) == labels
+    assert np.array_equal(annotation.high_motion, high_motion)
+
+
+def anchored_spec(times, halfwidth=0.1, fps=10.0, num_vertices=3, seed=0):
+    rng = np.random.default_rng(seed)
+    names = [f"s{i % 3}" for i in range(len(times))]
+    bank = {name: rng.normal(size=(num_vertices, 3)) for name in sorted(set(names))}
+    return SynthSpec(
+        num_vertices=num_vertices,
+        fps=fps,
+        viseme_targets=tuple(zip(times, names)),
+        shape_bank=bank,
+        blend_halfwidth=halfwidth,
+    )
+
+
+class TestRenderMatchesLoop:
+    """The vectorized render against tests/oracles.py::render_loop: frame
+    bytes, labels and high-motion flags."""
+
+    @pytest.mark.parametrize("num_frames", [120, 3000])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_demo_specs(self, seed, num_frames):
+        assert_matches_loop(demo_spec(seed, num_frames=num_frames))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            anchored_spec((0.0,)),
+            anchored_spec((0.7,), fps=29.97),
+            anchored_spec((0.0, 0.5, 1.2, 2.0), halfwidth=0.0),
+            anchored_spec((0.35, 0.9, 1.6), fps=7.3),
+            anchored_spec((0.5, 1.0, 1.5)),
+            anchored_spec((0.0, 0.8, 1.63), fps=29.97),
+            anchored_spec((0.04, 1.0, 2.017)),
+            anchored_spec((0.0, 0.3, 1.0, 1.4), halfwidth=5.0),
+            anchored_spec((0.0, 0.3, 1.0, 1.4), halfwidth=math.inf),
+            anchored_spec((0.2, 0.3, 1.0, 1.45), halfwidth=math.inf, fps=29.97),
+        ],
+        ids=[
+            "one-target-at-zero",
+            "one-target-later",
+            "zero-width-blend",
+            "first-anchor-late",
+            "first-anchor-on-grid",
+            "last-anchor-off-grid",
+            "both-ends-off-grid",
+            "halfwidth-above-half-gap",
+            "halfwidth-inf",
+            "halfwidth-inf-off-grid",
+        ],
+    )
+    def test_edge_cases(self, spec):
+        assert_matches_loop(spec)
+
+    def test_jittered_track(self):
+        assert_matches_loop(two_shape_spec(jitter_amplitude=0.05, seed=9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(0, 5),
+        gaps=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        on_grid=st.booleans(),
+        shift=st.floats(0.0, 0.999),
+        fps=st.sampled_from([30.0, 29.97, 7.3, 10.0, 24.0]),
+        halfwidth=st.sampled_from([0.0, 0.02, 0.1, 0.5, 5.0, math.inf]),
+        coords=st.lists(st.floats(-10.0, 10.0), min_size=18, max_size=18),
+    )
+    def test_random_specs(self, start, gaps, on_grid, shift, fps, halfwidth, coords):
+        # Anchors either sit on the frame grid or between its frames.
+        steps = start + np.cumsum(gaps) - gaps[0]
+        times = steps / fps if on_grid else (steps + shift) / fps
+        names = [f"s{i % 3}" for i in range(len(times))]
+        bank = {
+            f"s{k}": np.reshape(coords[6 * k:6 * k + 6], (2, 3)) for k in range(3)
+        }
+        spec = SynthSpec(
+            num_vertices=2,
+            fps=fps,
+            viseme_targets=tuple((float(t), n) for t, n in zip(times, names)),
+            shape_bank=bank,
+            blend_halfwidth=halfwidth,
+        )
+        seq, annotation = gen_viseme_track(spec)
+        frames, labels, high_motion = _render_like_loop(spec)
+        # The loop copies the first and last anchor shapes verbatim, while the
+        # blend maps a -0.0 coordinate there to +0.0; adding 0.0 maps -0.0 to
+        # +0.0 and leaves every other value unchanged.
+        assert (seq.frames + 0.0).tobytes() == (frames + 0.0).tobytes()
+        assert list(annotation.labels) == labels
+        assert np.array_equal(annotation.high_motion, high_motion)
 
 
 class TestInjectJitter:
@@ -150,6 +278,18 @@ class TestInjectJitter:
         seq = MeshSequence(np.zeros((2, 1, 3)), 30.0)
         with pytest.raises(ConstraintError):
             inject_jitter(seq, -0.5, seed=0)
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+    def test_non_finite_amplitude(self, amplitude):
+        seq = MeshSequence(np.zeros((2, 1, 3)), 30.0)
+        with pytest.raises(ConstraintError, match="amplitude"):
+            inject_jitter(seq, amplitude, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan")])
+    def test_bad_seed(self, seed):
+        seq = MeshSequence(np.zeros((2, 1, 3)), 30.0)
+        with pytest.raises(ConstraintError, match="seed"):
+            inject_jitter(seq, 0.1, seed=seed)
 
 
 class TestMakeCorpus:
