@@ -79,6 +79,8 @@ def _validate_spec(spec: SynthSpec) -> None:
     if not spec.viseme_targets:
         raise ConstraintError("need at least one viseme target")
     times = [t for t, _ in spec.viseme_targets]
+    if not all(math.isfinite(t) for t in times):
+        raise ConstraintError(f"target times must be finite, got {times}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConstraintError(f"target times must be strictly increasing, got {times}")
     if times[0] < 0:

@@ -5,7 +5,7 @@ loops over nested lists, 1-based frame arithmetic where the definitions are
 1-based, and exhaustive enumeration instead of dynamic programming. Slow on
 purpose; only run on small instances. The track renderer keeps numpy for its
 cosine and frame arithmetic, because the package's render must match it byte
-for byte.
+for byte, and the gradient-descent loop keeps numpy for its matrix products.
 """
 
 from __future__ import annotations
@@ -244,3 +244,30 @@ def render_loop(spec):
         else:
             labels.append(ids[seg] if alpha == 0.0 else ids[seg + 1])
     return frames, labels
+
+
+class LoopDiverged(ArithmeticError):
+    """The loop's objective became non-finite at `step`."""
+
+    def __init__(self, step):
+        self.step = step
+        super().__init__(f"loss became non-finite at step {step}")
+
+
+def fit_loop(gram, rhs, offset, coef0, learning_rate, steps):
+    """Plain gradient descent on f(C) = <C, G C> - 2 <C, R> + c0, one step at a
+    time from the flattened coefficients coef0 (K, 3V): record f, then take
+    C <- C - 2 lr (G C - R). Returns the (steps,) loss curve and the final
+    coefficients; raises LoopDiverged at the first non-finite objective.
+    """
+    flat = np.array(coef0, dtype=np.float64)
+    curve = np.empty(steps)
+    step_size = 2.0 * learning_rate
+    for step in range(steps):
+        residual = gram @ flat - rhs
+        total = float(np.vdot(flat, residual - rhs)) + offset
+        if not math.isfinite(total):
+            raise LoopDiverged(step)
+        curve[step] = total
+        flat -= step_size * residual
+    return curve, flat

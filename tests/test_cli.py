@@ -225,6 +225,16 @@ class TestGen:
         assert field in capsys.readouterr().err
         assert not list(out.glob("*.msq"))
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_target_time(self, tmp_path, capsys, time):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT.replace("target = 1.0 b", f"target = {time} b"))
+        out = tmp_path / "o"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "target times must be finite" in err
+        assert not list(out.glob("*.msq"))
+
     def test_negative_seed(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text(SPEC_TEXT.replace("seed = 3", "seed = -1\njitter_amplitude = 0.01"))
@@ -294,6 +304,19 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 1
         assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_divergence_names_the_stability_ratio(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (10, 2, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("loss = rec\nlearning_rate = 50\nsteps = 500\nnum_basis = 3\n")
+        out = tmp_path / "run"
+        assert main(["train", "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: loss became non-finite at step 62 "
+            "(learning_rate*lambda_max = 162; stable below 1)\n"
+        )
         assert not out.exists()
 
     def test_negative_seed(self, tmp_path, capsys):

@@ -130,6 +130,11 @@ class TestGenVisemeTrack:
         for amplitude in (float("nan"), float("inf")):
             with pytest.raises(ConstraintError, match="jitter_amplitude"):
                 gen_viseme_track(two_shape_spec(jitter_amplitude=amplitude))
+        for time in (float("nan"), float("inf")):
+            with pytest.raises(ConstraintError, match="target times must be finite"):
+                gen_viseme_track(two_shape_spec(viseme_targets=((0.0, "a"), (time, "b"))))
+            with pytest.raises(ConstraintError, match="target times must be finite"):
+                gen_viseme_track(two_shape_spec(viseme_targets=((time, "a"),)))
 
     def test_infinite_halfwidth_clamps_to_half_the_gap(self):
         wide, _ = gen_viseme_track(two_shape_spec(blend_halfwidth=float("inf")))

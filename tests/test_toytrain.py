@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import oracles
 from visemekit import toytrain
 from visemekit import (
     ConstraintError,
@@ -26,6 +29,7 @@ from visemekit import (
     temporal_basis,
 )
 from visemekit.coarticulation import central_difference, relative_gradient_error
+from visemekit.synth import demo_spec, gen_viseme_track
 
 
 def seq(frames, fps=30.0):
@@ -219,6 +223,7 @@ class TestFit:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as excinfo:
             fit(gt, cfg)
         assert excinfo.value.step > 0
+        assert "(learning_rate*lambda_max = 162; stable below 1)" in str(excinfo.value)
 
     def test_capacity_bottleneck_enforced(self):
         gt = seq(np.zeros((5, 1, 3)))
@@ -254,6 +259,152 @@ class TestFit:
     def test_needs_two_frames(self):
         with pytest.raises(ConstraintError):
             fit(seq(np.zeros((1, 1, 3))), TrainConfig(steps=1, num_basis=1))
+
+
+def quadratic_form(gt, cfg):
+    basis = temporal_basis(gt.num_frames, cfg.num_basis)
+    return toytrain._quadratic_form(gt, cfg, basis, None)
+
+
+def lambda_max(gt, cfg):
+    return np.linalg.eigvalsh(quadratic_form(gt, cfg)[0])[-1]
+
+
+def fit_and_loop(gt, cfg):
+    """fit's loss curve and flattened coefficients, then those of the
+    step-by-step oracle run on the same quadratic form and initialization."""
+    num_basis = cfg.num_basis
+    coef0 = np.random.default_rng(cfg.seed).uniform(
+        -0.01, 0.01, (num_basis, gt.num_vertices, 3)
+    ).reshape(num_basis, -1)
+    want_curve, want_coef = oracles.fit_loop(
+        *quadratic_form(gt, cfg), coef0, cfg.learning_rate, cfg.steps
+    )
+    model, report = fit(gt, cfg)
+    return report.loss_curve, want_curve, model.coef.reshape(num_basis, -1), want_coef
+
+
+def assert_matches_loop(gt, cfg):
+    curve, want_curve, coef, want_coef = fit_and_loop(gt, cfg)
+    assert curve[:1].tobytes() == want_curve[:1].tobytes()  # f(0) is evaluated, not derived
+    assert np.all(np.abs(curve - want_curve) <= 1e-10 * np.abs(want_curve))
+    assert np.max(np.abs(coef - want_coef)) <= 1e-12 * np.max(np.abs(want_coef))
+
+
+def random_walk(rng, num_frames, num_vertices):
+    step = rng.uniform(0.02, 0.3)
+    return seq(np.cumsum(rng.normal(0.0, step, (num_frames, num_vertices, 3)), axis=0))
+
+
+class TestFitMatchesLoop:
+    """fit evaluates the gradient-descent iterates in closed form; the loop
+    oracle takes every step. Curves agree element-wise to 1e-10 relative and
+    coefficients to 1e-12 of their largest magnitude."""
+
+    @pytest.mark.parametrize("kind,mu", QUADRATIC_CASES)
+    def test_random_tracks_over_the_stable_range(self, kind, mu):
+        # lr * lambda_max is spread over (0, 1); above 1/2 the slowest-decaying
+        # mode flips sign every step (rho < 0)
+        rng = np.random.default_rng(40)
+        cases = 16
+        for i in range(cases):
+            num_frames = int(rng.integers(3, 40))
+            gt = random_walk(rng, num_frames, int(rng.integers(1, 5)))
+            cfg = TrainConfig(
+                loss_choice=kind, vel_coefficient=mu, sigma=int(rng.integers(0, 4)),
+                steps=int(rng.integers(0, 400)), seed=i,
+                num_basis=int(rng.integers(1, num_frames)),
+            )
+            ratio = (i + rng.uniform(0.01, 0.99)) / cases
+            assert_matches_loop(gt, replace(cfg, learning_rate=ratio / lambda_max(gt, cfg)))
+
+    @pytest.mark.parametrize("kind", [LossKind.PC, LossKind.REC])
+    def test_zero_steps_is_the_loop_bit_for_bit(self, kind):
+        rng = np.random.default_rng(44)
+        for i in range(8):
+            num_frames = int(rng.integers(3, 40))
+            gt = random_walk(rng, num_frames, int(rng.integers(1, 5)))
+            cfg = TrainConfig(loss_choice=kind, steps=0, seed=i,
+                              num_basis=int(rng.integers(1, num_frames)))
+            cfg = replace(cfg, learning_rate=(i + 0.5) / 8 / lambda_max(gt, cfg))
+            curve, _, coef, want_coef = fit_and_loop(gt, cfg)
+            assert len(curve) == 0
+            assert coef.tobytes() == want_coef.tobytes()
+
+    @pytest.mark.parametrize("kind", [LossKind.PC, LossKind.REC])
+    def test_demo_tracks_at_criterion_7_settings(self, kind):
+        for seed in range(10):
+            track, _ = gen_viseme_track(demo_spec(seed=seed))
+            cfg = TrainConfig(loss_choice=kind, sigma=2, learning_rate=0.2, steps=1200,
+                              seed=seed, num_basis=30)
+            assert_matches_loop(track, cfg)
+
+    @pytest.mark.parametrize("amplitude", [5.0, 10.0, 40.0])
+    @pytest.mark.parametrize("sigma", [5, 8])
+    def test_near_singular_gram(self, amplitude, sigma):
+        # a near-static track with one jump: the PC weights vanish away from
+        # the jump, so G is near-singular; at amplitude 40 they underflow to 0,
+        # which leaves eigenvalues of G at exactly 0
+        rng = np.random.default_rng(41)
+        frames = np.repeat(rng.normal(0.0, 1.0, (1, 4, 3)), 60, axis=0)
+        frames += rng.normal(0.0, 1e-3, frames.shape)
+        frames[30:] += amplitude * rng.normal(0.0, 1.0, (4, 3))
+        gt = seq(frames)
+        cfg = TrainConfig(loss_choice=LossKind.PC, sigma=sigma, steps=1200, seed=3, num_basis=15)
+        lam = np.linalg.eigvalsh(quadratic_form(gt, cfg)[0])
+        assert lam[0] <= 1e-6 * lam[-1]
+        assert_matches_loop(gt, replace(cfg, learning_rate=0.9 / lam[-1]))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_white_noise_tracks(self, mu):
+        # Every frame of white noise is a jump, so the PC weights collapse onto
+        # a few frames and f can fall by ten orders of magnitude. The loop's
+        # own rounding error is then about eps * f(0), so the curves are
+        # compared on that scale; the coefficients keep the usual bound.
+        rng = np.random.default_rng(42)
+        for i in range(24):
+            num_frames = int(rng.integers(3, 40))
+            gt = seq(rng.normal(0.0, 10.0 ** rng.uniform(-1, 1),
+                                (num_frames, int(rng.integers(1, 5)), 3)))
+            cfg = TrainConfig(
+                loss_choice=LossKind.PC, vel_coefficient=mu, sigma=int(rng.integers(0, 4)),
+                steps=int(rng.integers(1, 400)), seed=i,
+                num_basis=int(rng.integers(1, num_frames)),
+            )
+            cfg = replace(cfg, learning_rate=rng.uniform(0.01, 0.99) / lambda_max(gt, cfg))
+            curve, want_curve, coef, want_coef = fit_and_loop(gt, cfg)
+            assert np.all(np.abs(curve - want_curve) <= 1e-12 * want_curve[0])
+            assert np.max(np.abs(coef - want_coef)) <= 1e-12 * np.max(np.abs(want_coef))
+
+    def test_divergence_step_matches_loop(self):
+        def steps_until_divergence(gt, cfg):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(oracles.LoopDiverged) as loop:
+                    fit_and_loop(gt, cfg)
+            with pytest.raises(DivergenceError) as closed:
+                fit(gt, cfg)
+            return loop.value.step, closed.value.step
+
+        rng = np.random.default_rng(6)
+        gt = seq(rng.normal(0.0, 1.0, (10, 2, 3)))
+        cfg = TrainConfig(loss_choice=LossKind.REC, learning_rate=50.0, steps=500, num_basis=3)
+        assert steps_until_divergence(gt, cfg) == (62, 62)
+
+        # random scales put the growing mode's share of f(0) on both sides of 1
+        rng = np.random.default_rng(43)
+        for i in range(24):
+            num_frames = int(rng.integers(3, 40))
+            gt = seq(rng.normal(0.0, 10.0 ** rng.uniform(-3, 2),
+                                (num_frames, int(rng.integers(1, 5)), 3)))
+            cfg = TrainConfig(
+                loss_choice=(LossKind.REC, LossKind.PC)[i % 2],
+                vel_coefficient=(0.0, 0.3)[i // 2 % 2], sigma=int(rng.integers(0, 4)),
+                steps=3000, seed=i, num_basis=int(rng.integers(1, num_frames)),
+            )
+            ratio = 10.0 ** rng.uniform(np.log10(1.5), 2.5)
+            cfg = replace(cfg, learning_rate=ratio / lambda_max(gt, cfg))
+            loop_step, fit_step = steps_until_divergence(gt, cfg)
+            assert fit_step == loop_step
 
 
 class TestTrainConfig:
