@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 constraint violation (bad values, divergence,
-failed gradient check), 2 file or format problem (also argparse usage).
+failed gradient check, out of memory), 2 file or format problem (also
+argparse usage).
 Results are byte-identical to the corresponding library calls; randomized
 commands take an explicit seed and default to 0, never wall-clock entropy.
 """
@@ -299,6 +300,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

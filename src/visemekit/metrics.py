@@ -75,7 +75,9 @@ def _mean_vertex_distance(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mean per-vertex Euclidean distance between (L, 3) frames, pairwise.
 
     The squared components are summed as (x + y) + z, the order numpy's norm
-    over an axis of length 3 uses, so each entry equals
+    over an axis of length 3 uses. With C-contiguous (rows, L, 3) and
+    (m, L, 3) inputs, as dtw passes them, the mean sums the L axis in the
+    same pairwise order as for one frame, so each entry equals
     np.linalg.norm(x - y, axis=1).mean() bit for bit.
     """
     delta = np.moveaxis(rows, 2, 0)[:, :, None] - np.moveaxis(b, 2, 0)[:, None]
@@ -100,40 +102,46 @@ def dtw(
 
     `cost(rows, b)` maps a block of consecutive frames of `a` and all of `b`
     to their (len(rows), len(b)) local-cost matrix; the default is the
-    Euclidean distance of the raveled frames. The local matrix is built in
-    row blocks so the broadcast differences stay small on long sequences.
+    Euclidean distance of the raveled frames. Both inputs are converted to
+    C-contiguous float64 arrays, so every block a cost receives is
+    C-contiguous whatever the caller's layout, and a reduction over a frame's
+    axes runs in the order it would on that one frame. The local matrix is
+    built in row blocks so the broadcast differences stay small on long
+    sequences. The blocks are written into one padded (n+1, m+1) table, which
+    is accumulated in place and backtracked: DTW holds no second table.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         raise ConstraintError("dtw inputs must be nonempty")
     if a.shape[1:] != b.shape[1:]:
         raise ConstraintError(f"feature shape mismatch: {a.shape[1:]} vs {b.shape[1:]}")
 
-    # Both tables carry a padding row and column, so cell (i, j) sits at
-    # padded (i+1, j+1). Row-major with stride m+1, each anti-diagonal
-    # i + j = d is then a flat slice with step m, and its diagonal, upper and
-    # left neighbours are the same slice shifted by m+2, m+1 and 1. Every
-    # cell gets local + min(diagonal, up, left), the arithmetic of a
-    # row-by-row fill, so the table and the path do not depend on the order.
+    # The table carries an inf padding row and column, with 0 at [0, 0] as
+    # the virtual predecessor of (0, 0), so cell (i, j) sits at padded
+    # (i+1, j+1). Row-major with stride m+1, each anti-diagonal i + j = d is
+    # then a flat slice with step m, and its diagonal, upper and left
+    # neighbours are the same slice shifted by m+2, m+1 and 1. Every cell
+    # holding its local cost gets += min(diagonal, up, left), the arithmetic
+    # of a row-by-row fill, so the table and the path do not depend on the
+    # order.
     width = m + 1
-    local = np.zeros((n + 1, width))
+    table = np.full((n + 1, width), np.inf)
+    table[0, 0] = 0.0
     rows = max(_COST_BLOCK_ELEMENTS // (m * max(b[0].size, 1)), 1)
     for first in range(0, n, rows):
-        local[first + 1 : first + rows + 1, 1:] = cost(a[first : first + rows], b)
-    local = local.reshape(-1)
-    table = np.full((n + 1) * width, np.inf)
-    table[0] = 0.0  # the virtual predecessor of (0, 0)
+        table[first + 1 : first + rows + 1, 1:] = cost(a[first : first + rows], b)
+    flat = table.reshape(-1)
     for d in range(n + m - 1):
         i0, i1 = max(0, d - m + 1), min(n - 1, d)
         start = (i0 + 1) * width + d - i0 + 1
         stop = start + (i1 - i0) * m + 1
-        prior = np.minimum(table[start - width - 1 : stop - width - 1 : m],
-                           table[start - width : stop - width : m])
-        np.minimum(prior, table[start - 1 : stop - 1 : m], out=prior)
-        table[start:stop:m] = local[start:stop:m] + prior
-    acc = table.reshape(n + 1, width)[1:, 1:]
+        prior = np.minimum(flat[start - width - 1 : stop - width - 1 : m],
+                           flat[start - width : stop - width : m])
+        np.minimum(prior, flat[start - 1 : stop - 1 : m], out=prior)
+        flat[start:stop:m] += prior
+    acc = table[1:, 1:]
 
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1

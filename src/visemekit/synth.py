@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 TRANSITION_LABEL = "transition"
+# The MSQ header stores the frame count as a u32, so no longer track can be
+# written.
+_MAX_FRAMES = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,12 @@ def _validate_spec(spec: SynthSpec) -> None:
         raise ConstraintError(f"target times must be strictly increasing, got {times}")
     if times[0] < 0:
         raise ConstraintError("target times must be nonnegative")
+    last_frame = times[-1] * spec.fps
+    if not (last_frame < _MAX_FRAMES and round(last_frame) + 1 <= _MAX_FRAMES):
+        raise ConstraintError(
+            f"last target time {times[-1]} at fps {spec.fps} needs more than "
+            f"{_MAX_FRAMES} frames, the most an MSQ file holds"
+        )
     for _, shape_id in spec.viseme_targets:
         if shape_id not in spec.shape_bank:
             raise ConstraintError(f"shape id {shape_id!r} not found in shape bank")

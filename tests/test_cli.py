@@ -235,6 +235,28 @@ class TestGen:
         assert err.startswith("error: ") and "target times must be finite" in err
         assert not list(out.glob("*.msq"))
 
+    @pytest.mark.parametrize("time", ["1e12", "1e300"])
+    def test_target_time_beyond_msq_frame_count(self, tmp_path, capsys, time):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT.replace("target = 1.0 b", f"target = {time} b"))
+        out = tmp_path / "o"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MSQ" in err
+        assert not list(out.glob("*.msq"))
+
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 218 TiB")
+
+        monkeypatch.setattr("visemekit.io.gen_viseme_track", exhausted)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT)
+        out = tmp_path / "o"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 218 TiB\n"
+        assert not list(out.glob("*.msq"))
+
     def test_negative_seed(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text(SPEC_TEXT.replace("seed = 3", "seed = -1\njitter_amplitude = 0.01"))

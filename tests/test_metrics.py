@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,65 @@ class TestDtwKernel:
             lips = VertexRegionMask.full(a.shape[1])
             distance, path = oracles.dtw_loop(a, b, mean_vertex_norm)
             assert ldtw(seq(a), seq(b), lips) == distance / len(path)
+
+    def test_ldtw_with_lip_subsets_equals_loop_oracle_exactly(self):
+        # lip frames come from fancy indexing, as in evaluate; the first case
+        # is the benchmark's layout of 20 lips out of 60 vertices
+        rng = np.random.default_rng(23)
+        for case in range(40):
+            num_vertices = 60 if case == 0 else int(rng.integers(1, 65))
+            count = 20 if case == 0 else int(rng.integers(1, min(num_vertices, 40) + 1))
+            lips = VertexRegionMask(np.sort(rng.choice(num_vertices, count, replace=False)))
+            n, m = int(rng.integers(1, 31)), int(rng.integers(1, 31))
+            gt = rand_seq(rng, n, num_vertices)
+            pred = rand_seq(rng, m, num_vertices)
+            a, b = gt.frames[:, lips.indices], pred.frames[:, lips.indices]
+            distance, path = oracles.dtw_loop(a, b, mean_vertex_norm)
+            assert ldtw(gt, pred, lips) == distance / len(path)
+
+    def test_memory_layout_does_not_change_results(self):
+        rng = np.random.default_rng(24)
+        frames_a = rng.normal(0.0, 1.0, (15, 30, 3))
+        frames_b = rng.normal(0.0, 1.0, (11, 30, 3))
+        lips = np.arange(3, 30, 2)
+
+        def layouts(frames):
+            picked = frames[:, lips]
+            return (np.ascontiguousarray(picked), np.asfortranarray(picked), picked)
+
+        results = [
+            (dtw(a, b), dtw(a, b, metrics._mean_vertex_distance),
+             ldtw(seq(a), seq(b), VertexRegionMask.full(len(lips))))
+            for a, b in zip(layouts(frames_a), layouts(frames_b))
+        ]
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_custom_cost_receives_contiguous_float64_blocks(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_COST_BLOCK_ELEMENTS", 40)
+        seen = []
+
+        def cost(rows, b):
+            seen.append((rows.dtype, rows.flags.c_contiguous, b.dtype, b.flags.c_contiguous))
+            return metrics._mean_vertex_distance(rows, b)
+
+        frames = np.arange(60 * 4 * 3, dtype=np.int32).reshape(60, 4, 3)
+        dtw(frames[::2, [0, 3]], np.asfortranarray(frames[:7, 1:3]), cost)
+        assert len(seen) > 1
+        float64 = np.dtype(np.float64)
+        assert set(seen) == {(float64, True, float64, True)}
+
+    def test_peak_memory_is_one_table(self):
+        n = m = 2000
+        a = np.linspace(0.0, 1.0, n)
+        b = np.linspace(1.0, 0.0, m)
+        tracemalloc.start()
+        try:
+            dtw(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (n + 1) * (m + 1) * 8
 
     def test_cost_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(22)

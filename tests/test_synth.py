@@ -19,7 +19,7 @@ from visemekit import (
     make_corpus,
     spec_hash,
 )
-from visemekit.synth import TRANSITION_LABEL
+from visemekit.synth import TRANSITION_LABEL, _validate_spec
 
 
 def two_shape_spec(**overrides):
@@ -135,6 +135,15 @@ class TestGenVisemeTrack:
                 gen_viseme_track(two_shape_spec(viseme_targets=((0.0, "a"), (time, "b"))))
             with pytest.raises(ConstraintError, match="target times must be finite"):
                 gen_viseme_track(two_shape_spec(viseme_targets=((time, "a"),)))
+
+    def test_frame_count_fits_the_msq_header(self):
+        # round(t_last * fps) + 1 frames; an MSQ header counts them in a u32
+        fits = 2.0**32 - 2
+        _validate_spec(two_shape_spec(fps=1.0, viseme_targets=((0.0, "a"), (fits, "b"))))
+        _validate_spec(two_shape_spec(fps=1.0, viseme_targets=((fits + 0.5, "a"),)))
+        for last, fps in ((fits + 1, 1.0), (1e12, 30.0), (1e300, 30.0), (1e308, 10.0)):
+            with pytest.raises(ConstraintError, match="MSQ"):
+                _validate_spec(two_shape_spec(fps=fps, viseme_targets=((0.0, "a"), (last, "b"))))
 
     def test_infinite_halfwidth_clamps_to_half_the_gap(self):
         wide, _ = gen_viseme_track(two_shape_spec(blend_halfwidth=float("inf")))
