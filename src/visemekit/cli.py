@@ -57,7 +57,7 @@ def _load_lips(path: str | None, num_vertices: int) -> VertexRegionMask:
 def _load_config(path: str | None) -> toytrain.TrainConfig:
     if path is None:
         return toytrain.TrainConfig()
-    return io.parse_train_config(Path(path).read_text())
+    return io.parse_train_config(io.read_text(path))
 
 
 def _load_annotation(path: str | None):
@@ -96,7 +96,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_gen(args) -> int:
     require_integer(args.count, "--count", 1)
-    spec = io.parse_synth_spec(Path(args.spec).read_text())
+    spec = io.parse_synth_spec(io.read_text(args.spec))
     specs = [replace(spec, seed=spec.seed + i) for i in range(args.count)]
     records = io.make_corpus(specs, args.out)
     for record in records:

@@ -2,9 +2,16 @@
 key = value texts of specs and configs, and corpus directories with their
 manifest. The modules below it only compute; none of them touches a file.
 
-Anything that fails structurally (bad magic, truncation, unparseable line)
-raises FormatError with enough context to find the offending byte or line.
-Values that parse but violate a contract raise ConstraintError downstream.
+Every text file (spec, config, mask, annotation, CSV report, loss curve,
+manifest) is read and written as UTF-8 whatever the locale; `read_text` is
+the one text reader, and the CLI reads its spec and config files through it.
+`read_msq` reads the payload in place into the frame array it returns, and
+`write_msq` writes from that array, so neither copies a sequence.
+
+Anything that fails structurally (bad magic, truncation, unparseable line,
+bytes that are not UTF-8) raises FormatError with enough context to find the
+offending byte or line. Values that parse but violate a contract raise
+ConstraintError downstream.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +35,7 @@ from .synth import SegmentAnnotation, SynthSpec, gen_viseme_track
 from .toytrain import AblationResult, TrainConfig, TrainReport
 
 __all__ = [
+    "read_text",
     "write_msq",
     "read_msq",
     "read_mask",
@@ -50,57 +60,74 @@ _MSQ_MAGIC = b"MSQ1"
 _MSQ_HEADER = struct.Struct("<4sIIf")
 
 
+def read_text(path, newline=None) -> str:
+    """The whole of a UTF-8 text file; bytes that do not decode are a
+    FormatError naming the path. `newline` is as for `open`."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def write_msq(seq: MeshSequence, path) -> None:
     frames = seq.frames
-    if not np.all(np.isfinite(frames)):
+    if not np.isfinite(frames).all():
         raise ConstraintError("refusing to write non-finite coordinates")
     header = _MSQ_HEADER.pack(_MSQ_MAGIC, seq.num_frames, seq.num_vertices, seq.fps)
-    payload = np.ascontiguousarray(frames, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(np.ascontiguousarray(frames, dtype="<f8").data)
 
 
 def read_msq(path) -> MeshSequence:
-    data = Path(path).read_bytes()
-    if len(data) < _MSQ_HEADER.size:
-        raise FormatError(
-            f"{path}: truncated header: {len(data)} bytes, need {_MSQ_HEADER.size}"
-        )
-    magic, num_frames, num_vertices, fps = _MSQ_HEADER.unpack_from(data)
-    if magic != _MSQ_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {_MSQ_MAGIC!r}")
-    if num_frames < 1 or num_vertices < 1:
-        raise FormatError(
-            f"{path}: header declares {num_frames} frames, {num_vertices} vertices"
-        )
-    if not math.isfinite(fps) or fps <= 0:
-        raise FormatError(f"{path}: header declares fps {fps}")
-    expected = num_frames * num_vertices * 3 * 8
-    actual = len(data) - _MSQ_HEADER.size
-    if actual < expected:
-        raise FormatError(
-            f"{path}: truncated payload: expected {expected} bytes "
-            f"({num_frames}x{num_vertices}x3 float64), got {actual}"
-        )
-    if actual > expected:
-        raise FormatError(f"{path}: trailing data: {actual - expected} extra bytes")
-    flat = np.frombuffer(data, dtype="<f8", offset=_MSQ_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        i = int(bad[0])
+    with open(path, "rb") as handle:
+        head = handle.read(_MSQ_HEADER.size)
+        if len(head) < _MSQ_HEADER.size:
+            raise FormatError(
+                f"{path}: truncated header: {len(head)} bytes, need {_MSQ_HEADER.size}"
+            )
+        magic, num_frames, num_vertices, fps = _MSQ_HEADER.unpack(head)
+        if magic != _MSQ_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {_MSQ_MAGIC!r}")
+        if num_frames < 1 or num_vertices < 1:
+            raise FormatError(
+                f"{path}: header declares {num_frames} frames, {num_vertices} vertices"
+            )
+        if not math.isfinite(fps) or fps <= 0:
+            raise FormatError(f"{path}: header declares fps {fps}")
+        # The payload length is checked against the file before the frames
+        # are allocated, so a header cannot ask for more memory than the
+        # file holds.
+        expected = num_frames * num_vertices * 3 * 8
+        actual = os.fstat(handle.fileno()).st_size - _MSQ_HEADER.size
+        if actual > expected:
+            raise FormatError(f"{path}: trailing data: {actual - expected} extra bytes")
+        if actual == expected:  # a file that shrinks while it is read is truncated too
+            frames = np.empty((num_frames, num_vertices, 3), dtype="<f8")
+            actual = handle.readinto(frames)
+        if actual < expected:
+            raise FormatError(
+                f"{path}: truncated payload: expected {expected} bytes "
+                f"({num_frames}x{num_vertices}x3 float64), got {actual}"
+            )
+    if not np.isfinite(frames).all():
+        i = int(np.flatnonzero(~np.isfinite(frames))[0])
         frame, rest = divmod(i, num_vertices * 3)
         vertex, component = divmod(rest, 3)
         raise FormatError(
             f"{path}: non-finite value at frame {frame}, vertex {vertex}, "
             f"component {component}"
         )
-    frames = flat.astype(np.float64).reshape(num_frames, num_vertices, 3)
     return MeshSequence(frames, fps)
 
 
 def read_mask(path) -> VertexRegionMask:
     """One vertex index per line; `#` starts a comment; duplicates collapse."""
     indices = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -122,7 +149,7 @@ _ANNOTATION_HEADER = ["frame", "label", "high_motion"]
 
 
 def write_annotation(annotation: SegmentAnnotation, path) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_ANNOTATION_HEADER)
         for i, label in enumerate(annotation.labels):
@@ -130,8 +157,7 @@ def write_annotation(annotation: SegmentAnnotation, path) -> None:
 
 
 def read_annotation(path) -> SegmentAnnotation:
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    rows = list(csv.reader(StringIO(read_text(path, newline=""), newline="")))
     if not rows or rows[0] != _ANNOTATION_HEADER:
         found = ",".join(rows[0]) if rows else "<empty file>"
         raise FormatError(f"{path}: bad header {found!r}")
@@ -158,8 +184,17 @@ def read_annotation(path) -> SegmentAnnotation:
 # -- CSV reports ----------------------------------------------------------------
 
 
+_FLOAT = "%.9g"  # the one float rule of every CSV report; equals format(v, ".9g")
+
+
 def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
+    return _FLOAT % float(value)
+
+
+def _fmt_all(values) -> list[str]:
+    """_fmt of every value of a 1-d column, by one `%` over the whole column."""
+    items = tuple(np.asarray(values, dtype=float).tolist())
+    return ((_FLOAT + "\n") * len(items) % items).splitlines()
 
 
 def _metric_rows(report: metrics.MetricReport) -> list[list[str]]:
@@ -188,26 +223,24 @@ def _ablation_rows(result: AblationResult) -> list[list[str]]:
     return rows
 
 
-def _loss_rows(report: LossReport) -> list[list[str]]:
+def _loss_rows(report: LossReport) -> list:
     # velocity terms start at the second frame, frame losses at the first
     first_t = 2 if report.kind is LossKind.VEL else 1
-    rows = [["t", "loss"]]
-    rows += [[str(first_t + i), _fmt(v)] for i, v in enumerate(report.per_frame)]
-    rows.append(["total", _fmt(report.total)])
-    return rows
+    steps = map(str, range(first_t, first_t + len(report.per_frame)))
+    return [
+        ["t", "loss"],
+        *zip(steps, _fmt_all(report.per_frame)),
+        ["total", _fmt(report.total)],
+    ]
 
 
-def _weight_rows(weights: CoarticulationWeights) -> list[list[str]]:
-    rows = [["t", "raw_energy", "weight"]]
-    for i in range(len(weights)):
-        rows.append(
-            [
-                str(weights.frame_start + i + 1),
-                _fmt(weights.raw_energy[i]),
-                _fmt(weights.weights[i]),
-            ]
-        )
-    return rows
+def _weight_rows(weights: CoarticulationWeights) -> list:
+    first = weights.frame_start + 1
+    frames = map(str, range(first, first + len(weights)))
+    return [
+        ["t", "raw_energy", "weight"],
+        *zip(frames, _fmt_all(weights.raw_energy), _fmt_all(weights.weights)),
+    ]
 
 
 def _train_rows(report: TrainReport) -> list[list[str]]:
@@ -253,13 +286,13 @@ def _csv_text(rows) -> str:
 
 
 def write_csv_report(report, path) -> None:
-    Path(path).write_text(format_csv_report(report))
+    Path(path).write_text(format_csv_report(report), encoding="utf-8")
 
 
 def write_loss_curve(curve, path) -> None:
-    rows = [["step", "loss"]]
-    rows += [[str(i), _fmt(v)] for i, v in enumerate(np.asarray(curve, dtype=float))]
-    Path(path).write_text(_csv_text(rows))
+    values = _fmt_all(curve)
+    rows = [["step", "loss"], *zip(map(str, range(len(values))), values)]
+    Path(path).write_text(_csv_text(rows), encoding="utf-8")
 
 
 # -- key = value texts -----------------------------------------------------------

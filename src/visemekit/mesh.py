@@ -104,16 +104,33 @@ def require_same_shape(gt: MeshSequence, pred: MeshSequence) -> tuple[np.ndarray
     return a, b
 
 
+_DIFF_ELEMENTS = 1 << 13  # 64 KB of float64 per block of frame differences
+
+
 def frame_difference_norms(seq: MeshSequence) -> np.ndarray:
     """Squared frame-to-frame displacement, summed over all vertices and coords.
 
     Entry j is sum_i sum_c (frames[j+1, i, c] - frames[j, i, c])**2, so the
     output has length T - 1. Requires T >= 2.
+
+    The differences are formed, squared and summed in row blocks of about
+    _DIFF_ELEMENTS values, so no (T - 1, V, 3) temporary is allocated. On
+    C-contiguous frames (what read_msq returns) each row is reduced exactly
+    as in one whole-track `np.sum(deltas * deltas, axis=(1, 2))`.
     """
     frames = seq.frames
     if len(frames) < 2:
         raise ConstraintError(
             f"need at least 2 frames to form differences, got {len(frames)}"
         )
-    deltas = frames[1:] - frames[:-1]
-    return np.sum(deltas * deltas, axis=(1, 2))
+    steps = len(frames) - 1
+    out = np.empty(steps)
+    rows = max(_DIFF_ELEMENTS // frames[0].size, 1)
+    scratch = np.empty((min(rows, steps),) + frames.shape[1:])
+    for first in range(0, steps, rows):
+        stop = min(first + rows, steps)
+        block = scratch[: stop - first]
+        np.subtract(frames[first + 1 : stop + 1], frames[first:stop], out=block)
+        np.multiply(block, block, out=block)
+        block.sum(axis=(1, 2), out=out[first:stop])
+    return out

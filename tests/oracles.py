@@ -271,3 +271,18 @@ def fit_loop(gram, rhs, offset, coef0, learning_rate, steps):
         curve[step] = total
         flat -= step_size * residual
     return curve, flat
+
+
+def csv_rows_loop(header, first, columns, tail=()):
+    """The per-row CSV renderer: the header, then one row per index i with
+    str(first + i) and format(v, ".9g") of each column's i-th value, then the
+    `tail` rows; comma-joined, a newline after every row."""
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        cells = [str(first + i)]
+        for column in columns:
+            cells.append(format(float(column[i]), ".9g"))
+        lines.append(",".join(cells))
+    for row in tail:
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

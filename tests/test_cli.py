@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,3 +440,53 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_in_c_locale(args, cwd):
+    """The CLI in a fresh process whose locale encoding is ASCII."""
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(SRC))
+    env.pop("PYTHONUTF8", None)
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "visemekit.cli", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+class TestTextEncoding:
+    """Text inputs and outputs are UTF-8 whatever the locale, and bytes that
+    are not UTF-8 are a format error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "metrics"])
+    def test_non_utf8_text_input(self, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# \xff\n")
+        gt = msq(tmp_path, "gt.msq", MICRO_FRAMES)
+        out = str(tmp_path / "out")
+        args = {
+            "gen": ["gen", "--spec", str(bad), "--out", out],
+            "train": ["train", "--gt", gt, "--out", out, "--config", str(bad)],
+            "metrics": ["metrics", "--gt", gt, "--pred", gt, "--lips", str(bad)],
+        }[command]
+        proc = run_in_c_locale(args, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.decode("ascii") == (
+            f"error: {bad}: not UTF-8 text: invalid start byte at byte 2\n"
+        )
+
+    def test_gen_in_c_locale_matches_library(self, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes(SPEC_TEXT.replace("shape.b", "shape.\u0283")
+                         .replace("1.0 b", "1.0 \u0283").encode("utf-8"))
+        proc = run_in_c_locale(["gen", "--spec", str(spec), "--out", "c"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "lib")]) == 0
+        for name in ("track000.msq", "track000.ann.csv", "manifest.txt"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+        annotation = (tmp_path / "c" / "track000.ann.csv").read_bytes()
+        assert ",\u0283,".encode("utf-8") in annotation

@@ -1,8 +1,12 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from visemekit import io as vio
 from visemekit import (
     BoundaryPolicy,
     ConstraintError,
@@ -27,6 +31,7 @@ from visemekit import (
     parse_synth_spec,
     parse_train_config,
     read_annotation,
+    read_text,
     read_mask,
     read_msq,
     write_annotation,
@@ -129,6 +134,123 @@ class TestMsq:
         bad[0, 0, 0] = np.inf
         with pytest.raises(ConstraintError):
             write_msq(MeshSequence(bad, 30.0), path)
+
+
+def traced_peak(fn):
+    """Peak traced allocation, in bytes, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMsqInPlace:
+    """read_msq reads the payload into the frame array it returns, and
+    write_msq writes from the frames; the error messages are unchanged."""
+
+    ERRORS = {
+        "bad magic": (
+            msq_bytes(magic=b"XXXX"),
+            "bad magic b'XXXX', expected b'MSQ1'",
+        ),
+        "truncated header": (b"MSQ1\x02\x00", "truncated header: 6 bytes, need 16"),
+        "truncated payload": (
+            msq_bytes(num_frames=2, num_vertices=3)[:-9],
+            "truncated payload: expected 144 bytes (2x3x3 float64), got 135",
+        ),
+        "trailing bytes": (msq_bytes() + b"\x00" * 5, "trailing data: 5 extra bytes"),
+        "zero frames": (
+            msq_bytes(num_frames=0, num_vertices=4, payload=b""),
+            "header declares 0 frames, 4 vertices",
+        ),
+        "nan fps": (msq_bytes(fps=np.nan), "header declares fps nan"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_error_messages(self, tmp_path, case):
+        data, message = self.ERRORS[case]
+        path = tmp_path / "a.msq"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as excinfo:
+            read_msq(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_first_non_finite_value_is_located(self, tmp_path):
+        frames = np.zeros((4, 3, 3))
+        frames[2, 0, 1] = np.inf
+        frames[1, 2, 1] = -np.inf
+        frames[3, 1, 0] = np.nan
+        path = tmp_path / "a.msq"
+        path.write_bytes(msq_bytes(num_frames=4, num_vertices=3, payload=frames.tobytes()))
+        with pytest.raises(FormatError) as excinfo:
+            read_msq(path)
+        assert str(excinfo.value) == (
+            f"{path}: non-finite value at frame 1, vertex 2, component 1"
+        )
+
+    def test_short_read_is_truncation(self, tmp_path, monkeypatch):
+        # a file that shrinks between the size check and the read
+        path = tmp_path / "a.msq"
+        path.write_bytes(msq_bytes(num_frames=2)[:-8])
+        real_fstat = os.fstat
+
+        class Stat:
+            def __init__(self, fd):
+                self.st_size = real_fstat(fd).st_size + 8
+
+        monkeypatch.setattr(vio.os, "fstat", Stat)
+        with pytest.raises(FormatError) as excinfo:
+            read_msq(path)
+        assert str(excinfo.value) == (
+            f"{path}: truncated payload: expected 48 bytes (2x1x3 float64), got 40"
+        )
+
+    def test_huge_header_on_a_small_file_allocates_nothing(self, tmp_path):
+        path = tmp_path / "a.msq"
+        path.write_bytes(HEADER.pack(b"MSQ1", 2**32 - 1, 2**20, 30.0) + bytes(48))
+        assert path.stat().st_size == 64
+
+        def read():
+            with pytest.raises(FormatError, match="truncated payload"):
+                read_msq(path)
+
+        assert traced_peak(read) < 64 * 1024
+
+    def test_frames_are_writable_and_c_contiguous(self, tmp_path):
+        path = tmp_path / "a.msq"
+        original = np.random.default_rng(3).normal(0.0, 1.0, (5, 4, 3))
+        write_msq(seq(np.asfortranarray(original)), path)
+        frames = read_msq(path).frames
+        assert frames.dtype == np.float64
+        assert frames.flags.writeable and frames.flags.c_contiguous
+        assert np.array_equal(frames, original)
+        frames[0, 0, 0] = 1.0  # the caller owns the array
+
+    def test_write_from_strided_frames(self, tmp_path):
+        original = np.random.default_rng(4).normal(0.0, 1.0, (6, 8, 3))
+        path = tmp_path / "a.msq"
+        write_msq(seq(original[::2, ::3]), path)
+        expected = msq_bytes(num_frames=3, num_vertices=3, fps=30.0,
+                             payload=np.ascontiguousarray(original[::2, ::3]).tobytes())
+        assert path.read_bytes() == expected
+
+    def track(self):
+        frames = np.random.default_rng(5).normal(0.0, 1.0, (3000, 60, 3))
+        return seq(frames), frames.nbytes
+
+    def test_read_peak_memory(self, tmp_path):
+        track, payload = self.track()
+        path = tmp_path / "a.msq"
+        write_msq(track, path)
+        assert traced_peak(lambda: read_msq(path)) < 1.25 * payload
+
+    def test_write_peak_memory(self, tmp_path):
+        track, payload = self.track()
+        path = tmp_path / "a.msq"
+        assert traced_peak(lambda: write_msq(track, path)) < 0.25 * payload
+        assert path.stat().st_size == HEADER.size + payload
 
 
 class TestMask:
@@ -312,6 +434,105 @@ class TestCsvReports:
         assert path.read_bytes() == (
             b"step,loss\n0,0.333333333\n1,-2.5e-12\n2,1e+20\n3,0\n4,123456790\n"
         )
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                  np.inf, -np.inf, np.nan, 1.0, 123456789.5, 0.1, 1e16, 1e-5, 9.9999999995e22]
+
+
+def random_floats(count, seed):
+    """Doubles from random bit patterns: every exponent, subnormals, inf, nan."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+class TestCsvColumns:
+    """Columns are formatted by one `%` each; the text must equal the per-row
+    renderer kept in tests/oracles.py byte for byte."""
+
+    @staticmethod
+    def track(num_frames, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 1, (num_frames, 1, 1))
+        return seq(np.cumsum(rng.normal(0.0, 1.0, (num_frames, 3, 3)) * scale, axis=0))
+
+    @pytest.mark.parametrize("policy", [BoundaryPolicy.CLAMP, BoundaryPolicy.STRICT])
+    @pytest.mark.parametrize("sigma", [0, 2, 5])
+    def test_weights_match_row_loop(self, policy, sigma):
+        track = self.track(80, seed=sigma)
+        weights = coarticulation_weights(track, WindowSpec(sigma, policy), temperature=0.3)
+        if policy is BoundaryPolicy.STRICT and sigma > 0:
+            assert weights.frame_start > 0
+        expected = oracles.csv_rows_loop(
+            ["t", "raw_energy", "weight"],
+            weights.frame_start + 1,
+            [weights.raw_energy, weights.weights],
+        )
+        assert format_csv_report(weights) == expected
+
+    @pytest.mark.parametrize("kind", ["rec", "vel", "pc"])
+    def test_losses_match_row_loop(self, kind):
+        gt = self.track(60, seed=11)
+        pred = self.track(60, seed=12)
+        if kind == "rec":
+            report = loss_rec(gt, pred)
+        elif kind == "vel":
+            report = loss_vel(gt, pred)
+        else:
+            report = loss_pc(gt, pred, coarticulation_weights(gt, WindowSpec(2)))
+        expected = oracles.csv_rows_loop(
+            ["t", "loss"],
+            2 if kind == "vel" else 1,
+            [report.per_frame],
+            tail=[["total", format(report.total, ".9g")]],
+        )
+        assert format_csv_report(report) == expected
+
+    def test_loss_curve_matches_row_loop(self, tmp_path):
+        curve = np.concatenate([random_floats(500, seed=21), SPECIAL_FLOATS])
+        path = tmp_path / "curve.csv"
+        write_loss_curve(curve, path)
+        expected = oracles.csv_rows_loop(["step", "loss"], 0, [curve])
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_empty_column(self):
+        assert vio._fmt_all(np.array([])) == []
+
+    def test_fmt_all_equals_format(self):
+        values = np.concatenate([SPECIAL_FLOATS, random_floats(20000, seed=22)])
+        assert vio._fmt_all(values) == [format(float(v), ".9g") for v in values]
+        assert [vio._fmt(v) for v in SPECIAL_FLOATS] == [
+            format(float(v), ".9g") for v in SPECIAL_FLOATS
+        ]
+
+
+class TestUtf8Text:
+    @pytest.mark.parametrize("reader", [read_text, read_mask, read_annotation])
+    def test_undecodable_bytes_are_a_format_error(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"frame,label,high_motion\n1,\xff,0\n")
+        with pytest.raises(FormatError) as excinfo:
+            reader(path)
+        assert str(excinfo.value) == (
+            f"{path}: not UTF-8 text: invalid start byte at byte 26"
+        )
+
+    def test_annotation_is_utf8(self, tmp_path):
+        annotation = SegmentAnnotation(("\u0283", "transition", "a\u0308"),
+                                       np.array([True, False, True]))
+        path = tmp_path / "a.ann.csv"
+        write_annotation(annotation, path)
+        assert path.read_bytes() == (
+            "frame,label,high_motion\n1,\u0283,1\n2,transition,0\n3,a\u0308,1\n"
+        ).encode("utf-8")
+        loaded = read_annotation(path)
+        assert loaded.labels == annotation.labels
+
+    def test_annotation_keeps_line_separators_inside_labels(self, tmp_path):
+        # the file is split into rows at newlines only, as csv reads a file
+        path = tmp_path / "a.ann.csv"
+        path.write_bytes("frame,label,high_motion\n1,a\u2028b,0\n".encode("utf-8"))
+        assert read_annotation(path).labels == ("a\u2028b",)
 
 
 def two_shape_spec(**overrides):

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from visemekit import (
     ConstraintError,
     MeshSequence,
     VertexRegionMask,
     frame_difference_norms,
 )
-from visemekit.mesh import require_same_shape
+from visemekit.mesh import _DIFF_ELEMENTS, require_same_shape
 
 
 def seq(frames, fps=30.0):
@@ -94,3 +97,54 @@ class TestFrameDifferenceNorms:
     def test_needs_two_frames(self):
         with pytest.raises(ConstraintError):
             frame_difference_norms(seq(np.zeros((1, 1, 3))))
+
+
+class TestBlockedFrameDifferences:
+    """frame_difference_norms works in row blocks of _DIFF_ELEMENTS values;
+    the block edges must not show in the result."""
+
+    @staticmethod
+    def integer_track(num_frames, num_vertices, seed=0):
+        # small integer coordinates make every sum exact, so the result can
+        # equal the sequential loop oracle bit for bit
+        rng = np.random.default_rng(seed)
+        return rng.integers(-8, 9, (num_frames, num_vertices, 3)).astype(np.float64)
+
+    def rows(self, num_vertices):
+        return max(_DIFF_ELEMENTS // (num_vertices * 3), 1)
+
+    @pytest.mark.parametrize("offset", ["two", "rows-1", "rows", "rows+1", "3rows+1"])
+    def test_equals_loop_oracle_at_block_edges(self, offset):
+        num_vertices = 60
+        rows = self.rows(num_vertices)
+        steps = {"two": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+                 "3rows+1": 3 * rows + 1}[offset]
+        frames = self.integer_track(steps + 1, num_vertices)
+        got = frame_difference_norms(seq(frames))
+        assert got.tolist() == oracles.step_sq_norms(frames.tolist())
+
+    def test_frame_larger_than_a_block(self):
+        num_vertices = _DIFF_ELEMENTS // 3 + 5  # one row per block
+        assert self.rows(num_vertices) == 1
+        frames = self.integer_track(4, num_vertices, seed=1)
+        got = frame_difference_norms(seq(frames))
+        assert got.tolist() == oracles.step_sq_norms(frames.tolist())
+
+    @pytest.mark.parametrize("num_frames", [2, 46, 47, 3000])
+    def test_rows_reduce_as_in_one_pass(self, num_frames):
+        frames = np.random.default_rng(num_frames).normal(0.0, 1.0, (num_frames, 60, 3))
+        deltas = frames[1:] - frames[:-1]
+        whole = np.sum(deltas * deltas, axis=(1, 2))
+        assert np.array_equal(frame_difference_norms(seq(frames)), whole)
+
+    def test_peak_memory_is_a_block(self):
+        num_frames, num_vertices = 3000, 60
+        track = seq(np.random.default_rng(2).normal(0.0, 1.0, (num_frames, num_vertices, 3)))
+        one_array = (num_frames - 1) * num_vertices * 3 * 8
+        tracemalloc.start()
+        try:
+            frame_difference_norms(track)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * one_array
