@@ -10,6 +10,7 @@ commands take an explicit seed and default to 0, never wall-clock entropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -220,7 +221,10 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process. parse_args leaves it
+    unchanged and fills a fresh namespace with the defaults on every call."""
     parser = argparse.ArgumentParser(
         prog="visemekit",
         description="Coarticulation-weighted losses, lip metrics, and a toy trainer "

@@ -152,8 +152,9 @@ def write_annotation(annotation: SegmentAnnotation, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_ANNOTATION_HEADER)
-        for i, label in enumerate(annotation.labels):
-            writer.writerow([i + 1, label, int(annotation.high_motion[i])])
+        labels = annotation.labels
+        flags = np.asarray(annotation.high_motion).astype(int).tolist()
+        writer.writerows(zip(range(1, len(labels) + 1), labels, flags, strict=True))
 
 
 def read_annotation(path) -> SegmentAnnotation:
@@ -191,10 +192,19 @@ def _fmt(value: float) -> str:
     return _FLOAT % float(value)
 
 
-def _fmt_all(values) -> list[str]:
-    """_fmt of every value of a 1-d column, by one `%` over the whole column."""
-    items = tuple(np.asarray(values, dtype=float).tolist())
-    return ((_FLOAT + "\n") * len(items) % items).splitlines()
+def _table_text(header: list[str], first: int, columns) -> str:
+    """A per-frame table: the header line, then row i holds first + i and
+    _fmt of each 1-d column's i-th value. Every row is rendered by one `%`
+    over one tuple that interleaves the index with the columns."""
+    cells = [np.asarray(column, dtype=float).tolist() for column in columns]
+    width = len(cells) + 1
+    count = len(cells[0])
+    flat = [None] * (count * width)
+    flat[0::width] = range(first, first + count)
+    for j, column in enumerate(cells, start=1):
+        flat[j::width] = column
+    row = "%d" + ("," + _FLOAT) * len(cells) + "\n"
+    return ",".join(header) + "\n" + row * count % tuple(flat)
 
 
 def _metric_rows(report: metrics.MetricReport) -> list[list[str]]:
@@ -223,26 +233,6 @@ def _ablation_rows(result: AblationResult) -> list[list[str]]:
     return rows
 
 
-def _loss_rows(report: LossReport) -> list:
-    # velocity terms start at the second frame, frame losses at the first
-    first_t = 2 if report.kind is LossKind.VEL else 1
-    steps = map(str, range(first_t, first_t + len(report.per_frame)))
-    return [
-        ["t", "loss"],
-        *zip(steps, _fmt_all(report.per_frame)),
-        ["total", _fmt(report.total)],
-    ]
-
-
-def _weight_rows(weights: CoarticulationWeights) -> list:
-    first = weights.frame_start + 1
-    frames = map(str, range(first, first + len(weights)))
-    return [
-        ["t", "raw_energy", "weight"],
-        *zip(frames, _fmt_all(weights.raw_energy), _fmt_all(weights.weights)),
-    ]
-
-
 def _train_rows(report: TrainReport) -> list[list[str]]:
     rows = [
         ["key", "value"],
@@ -265,23 +255,29 @@ def _train_rows(report: TrainReport) -> list[list[str]]:
 def format_csv_report(report) -> str:
     """Render any report object as CSV text; the layout depends on the type."""
     if isinstance(report, metrics.MetricReport):
-        rows = _metric_rows(report)
-    elif isinstance(report, AblationResult):
-        rows = _ablation_rows(report)
-    elif isinstance(report, LossReport):
-        rows = _loss_rows(report)
-    elif isinstance(report, CoarticulationWeights):
-        rows = _weight_rows(report)
-    elif isinstance(report, TrainReport):
-        rows = _train_rows(report)
-    else:
-        raise TypeError(f"no CSV layout for {type(report).__name__}")
-    return _csv_text(rows)
+        return _csv_text(_metric_rows(report))
+    if isinstance(report, AblationResult):
+        return _csv_text(_ablation_rows(report))
+    if isinstance(report, LossReport):
+        # velocity terms start at the second frame, frame losses at the first
+        first_t = 2 if report.kind is LossKind.VEL else 1
+        table = _table_text(["t", "loss"], first_t, [report.per_frame])
+        return table + _csv_text([["total", _fmt(report.total)]])
+    if isinstance(report, CoarticulationWeights):
+        return _table_text(
+            ["t", "raw_energy", "weight"],
+            report.frame_start + 1,
+            [report.raw_energy, report.weights],
+        )
+    if isinstance(report, TrainReport):
+        return _csv_text(_train_rows(report))
+    raise TypeError(f"no CSV layout for {type(report).__name__}")
 
 
 def _csv_text(rows) -> str:
-    """The one rows-to-text rule of every CSV report: comma-joined fields,
-    one line per row, a newline after the last."""
+    """The rows-to-text rule of the small reports: comma-joined fields, one
+    line per row, a newline after the last. Per-frame tables use
+    _table_text."""
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
@@ -290,9 +286,7 @@ def write_csv_report(report, path) -> None:
 
 
 def write_loss_curve(curve, path) -> None:
-    values = _fmt_all(curve)
-    rows = [["step", "loss"], *zip(map(str, range(len(values))), values)]
-    Path(path).write_text(_csv_text(rows), encoding="utf-8")
+    Path(path).write_text(_table_text(["step", "loss"], 0, [curve]), encoding="utf-8")
 
 
 # -- key = value texts -----------------------------------------------------------

@@ -39,8 +39,9 @@ class SynthSpec:
 
     viseme_targets: (time_seconds, shape_id) anchors, strictly increasing in
     time; the track spans time 0 through the last anchor. shape_bank maps
-    shape ids to (V, 3) vertex arrays. blend_halfwidth is the half-duration
-    of each crossfade in seconds (clamped to half the gap between anchors).
+    shape ids to (V, 3) vertex arrays; the id "transition" is reserved for
+    the annotation's blend frames. blend_halfwidth is the half-duration of
+    each crossfade in seconds (clamped to half the gap between anchors).
     """
 
     num_vertices: int
@@ -98,6 +99,11 @@ def _validate_spec(spec: SynthSpec) -> None:
         if shape_id not in spec.shape_bank:
             raise ConstraintError(f"shape id {shape_id!r} not found in shape bank")
     for name, shape in spec.shape_bank.items():
+        if name == TRANSITION_LABEL:
+            raise ConstraintError(
+                f"shape id {name!r} is reserved: the annotation labels blend "
+                "frames with it"
+            )
         arr = np.asarray(shape, dtype=np.float64)
         if arr.shape != (spec.num_vertices, 3):
             raise ConstraintError(
@@ -137,7 +143,14 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
         ramp = 0.5 * (1.0 - np.cos(np.pi * (np.clip(u, lo, hi) - lo) / (hi - lo)))
     alpha = np.where(hi > lo, ramp, u >= mid)
     weight = alpha[:, None, None]
-    frames = (1.0 - weight) * shapes[seg] + weight * shapes[nxt]
+    # blended in place, and blend is freed before the jitter, so a render
+    # holds at most two tracks at once
+    frames = shapes.take(seg, axis=0)
+    frames *= 1.0 - weight
+    blend = shapes.take(nxt, axis=0)
+    blend *= weight
+    frames += blend
+    del blend
     choice = np.where(alpha == 0.0, seg, np.where(alpha == 1.0, nxt, last + 1))
     labels = tuple(np.array(ids + [TRANSITION_LABEL], dtype=object)[choice])
 
@@ -169,9 +182,10 @@ def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequenc
         return seq
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-amplitude, amplitude, size=seq.frames.shape)
+    noise += seq.frames
     tag = f"jitter(uniform,pcg64,amp={amplitude:g},seed={seed})"
     label = f"{seq.label}+{tag}" if seq.label else tag
-    return MeshSequence(seq.frames + noise, seq.fps, label)
+    return MeshSequence(noise, seq.fps, label)
 
 
 # -- a ready-made corpus recipe -------------------------------------------------

@@ -10,6 +10,8 @@ for byte, and the gradient-descent loop keeps numpy for its matrix products.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -286,3 +288,14 @@ def csv_rows_loop(header, first, columns, tail=()):
     for row in tail:
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def annotation_rows_loop(labels, flags):
+    """The per-row annotation writer: a csv.writer header, then one writerow
+    of [frame, label, int(flag)] per frame, 1-based, newline-terminated."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["frame", "label", "high_motion"])
+    for i, label in enumerate(labels):
+        writer.writerow([i + 1, label, int(flags[i])])
+    return out.getvalue()

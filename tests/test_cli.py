@@ -196,6 +196,21 @@ class TestGen:
         stdout = capsys.readouterr().out
         assert stdout.count("wrote ") == 3
 
+    def test_shape_named_transition_is_an_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "num_vertices = 1\nfps = 10\nblend_halfwidth = 0.05\n"
+            "shape.transition = 0 0 0\nshape.b = 1 0 0\n"
+            "target = 0 transition\ntarget = 1 b\ntarget = 2 transition\n"
+        )
+        out = tmp_path / "corpus"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: shape id 'transition' is reserved: the annotation labels "
+            "blend frames with it\n"
+        )
+        assert not (out / "track000.ann.csv").exists()
+
     def test_regeneration_identical(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text(SPEC_TEXT)
@@ -490,3 +505,56 @@ class TestTextEncoding:
             assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
         annotation = (tmp_path / "c" / "track000.ann.csv").read_bytes()
         assert ",\u0283,".encode("utf-8") in annotation
+
+
+def run_fresh(args, cwd):
+    """The CLI in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "visemekit.cli", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+class TestOneProcessManyCommands:
+    """main builds its parser once per process. Each call must still act as
+    a fresh process would: no option value or default carries over."""
+
+    COMMANDS = [
+        ["weights", "--gt", "gt.msq", "--out", "f.csv"],
+        ["weights", "--gt", "gt.msq"],
+        ["weights", "--sigma", "1"],
+        ["gen", "--spec", "spec.txt", "--out", "corpus"],
+        ["weights", "--gt", "gt.msq", "--sigma", "0"],
+        ["weights", "--gt", "gt.msq"],
+    ]
+
+    def test_sequence_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        for directory in (here, fresh):
+            directory.mkdir()
+            msq(directory, "gt.msq", np.random.default_rng(4).normal(0.0, 1.0, (12, 3, 3)))
+            (directory / "spec.txt").write_text(SPEC_TEXT)
+        monkeypatch.chdir(here)
+        results = []
+        for args in self.COMMANDS:
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = run_fresh(args, fresh)
+            assert (code, out, err) == (
+                proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+            ), args
+            results.append((code, out))
+        assert results[1] == (0, (here / "f.csv").read_text())
+        assert results[2][0] == 2
+        assert results[4][1] != results[5][1] == results[1][1]
+        files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+        assert len(files) == 6
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name

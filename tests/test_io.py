@@ -9,9 +9,11 @@ import oracles
 from visemekit import io as vio
 from visemekit import (
     BoundaryPolicy,
+    CoarticulationWeights,
     ConstraintError,
     FormatError,
     LossKind,
+    LossReport,
     MeshSequence,
     SegmentAnnotation,
     SynthSpec,
@@ -20,11 +22,13 @@ from visemekit import (
     WindowSpec,
     ablate_window,
     coarticulation_weights,
+    demo_spec,
     evaluate,
     fit,
     format_csv_report,
     format_synth_spec,
     format_train_config,
+    gen_viseme_track,
     loss_pc,
     loss_rec,
     loss_vel,
@@ -447,8 +451,11 @@ def random_floats(count, seed):
 
 
 class TestCsvColumns:
-    """Columns are formatted by one `%` each; the text must equal the per-row
-    renderer kept in tests/oracles.py byte for byte."""
+    """A per-frame table is formatted by one `%` over all its rows; the text
+    must equal the per-row renderer kept in tests/oracles.py byte for byte."""
+
+    # nan, +-inf, a negative zero, a subnormal and a value near the largest double
+    EDGE_COLUMN = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.25])
 
     @staticmethod
     def track(num_frames, seed):
@@ -495,15 +502,89 @@ class TestCsvColumns:
         expected = oracles.csv_rows_loop(["step", "loss"], 0, [curve])
         assert path.read_bytes() == expected.encode("ascii")
 
-    def test_empty_column(self):
-        assert vio._fmt_all(np.array([])) == []
+    def test_loss_curve_without_steps(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_loss_curve(np.array([]), path)
+        expected = oracles.csv_rows_loop(["step", "loss"], 0, [[]])
+        assert path.read_bytes() == expected.encode("ascii") == b"step,loss\n"
 
-    def test_fmt_all_equals_format(self):
+    @pytest.mark.parametrize("policy", [BoundaryPolicy.CLAMP, BoundaryPolicy.STRICT])
+    def test_weights_with_edge_values(self, policy):
+        frame_start = 0 if policy is BoundaryPolicy.CLAMP else 3
+        column = self.EDGE_COLUMN
+        weights = CoarticulationWeights(column[::-1].copy(), column, 3, policy, frame_start)
+        expected = oracles.csv_rows_loop(
+            ["t", "raw_energy", "weight"], frame_start + 1, [column, column[::-1]]
+        )
+        assert format_csv_report(weights) == expected
+
+    @pytest.mark.parametrize("total", [np.nan, -0.0, 1e308])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_losses_with_edge_values(self, kind, total):
+        report = LossReport(total, self.EDGE_COLUMN, kind)
+        expected = oracles.csv_rows_loop(
+            ["t", "loss"],
+            2 if kind is LossKind.VEL else 1,
+            [self.EDGE_COLUMN],
+            tail=[["total", format(total, ".9g")]],
+        )
+        assert format_csv_report(report) == expected
+
+    def test_loss_curve_with_edge_values(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_loss_curve(self.EDGE_COLUMN, path)
+        expected = oracles.csv_rows_loop(["step", "loss"], 0, [self.EDGE_COLUMN])
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_empty_column(self):
+        assert vio._table_text(["t", "v"], 1, [np.array([])]) == "t,v\n"
+        assert vio._table_text(["t", "v", "w"], 1, [[], []]) == "t,v,w\n"
+
+    def test_table_equals_format(self):
         values = np.concatenate([SPECIAL_FLOATS, random_floats(20000, seed=22)])
-        assert vio._fmt_all(values) == [format(float(v), ".9g") for v in values]
+        expected = "i,v\n" + "".join(
+            f"{i},{format(float(v), '.9g')}\n" for i, v in enumerate(values, start=7)
+        )
+        assert vio._table_text(["i", "v"], 7, [values]) == expected
         assert [vio._fmt(v) for v in SPECIAL_FLOATS] == [
             format(float(v), ".9g") for v in SPECIAL_FLOATS
         ]
+
+
+class TestAnnotationMatchesRowLoop:
+    """write_annotation writes every row with one writerows call; the bytes
+    must equal the per-row writer kept in tests/oracles.py, and read back."""
+
+    @staticmethod
+    def check(annotation, path):
+        write_annotation(annotation, path)
+        expected = oracles.annotation_rows_loop(annotation.labels, annotation.high_motion)
+        assert path.read_bytes() == expected.encode("utf-8")
+        loaded = read_annotation(path)
+        assert loaded.labels == annotation.labels
+        assert np.array_equal(loaded.high_motion, annotation.high_motion)
+
+    def test_one_frame(self, tmp_path):
+        self.check(SegmentAnnotation(("rest",), np.array([True])), tmp_path / "a.csv")
+
+    def test_demo_track(self, tmp_path):
+        _, annotation = gen_viseme_track(demo_spec(5, num_frames=3000))
+        assert len(annotation.labels) == 3000
+        assert annotation.high_motion.any() and not annotation.high_motion.all()
+        self.check(annotation, tmp_path / "a.csv")
+
+    def test_labels_that_need_quoting(self, tmp_path):
+        labels = ('a,"x', "transition", '"', "b c")
+        self.check(
+            SegmentAnnotation(labels, np.array([False, True, True, False])),
+            tmp_path / "a.csv",
+        )
+        text = (tmp_path / "a.csv").read_text(encoding="utf-8")
+        assert text.splitlines()[1] == '1,"a,""x",0'
+
+    def test_flag_count_must_match_labels(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_annotation(SegmentAnnotation(("a", "b"), np.array([True])), tmp_path / "a.csv")
 
 
 class TestUtf8Text:

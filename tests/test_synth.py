@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -136,6 +137,19 @@ class TestGenVisemeTrack:
             with pytest.raises(ConstraintError, match="target times must be finite"):
                 gen_viseme_track(two_shape_spec(viseme_targets=((time, "a"),)))
 
+    def test_transition_is_not_a_shape_id(self):
+        # a held shape named "transition" would be counted as a blend frame
+        bank = {TRANSITION_LABEL: np.zeros((2, 3)), "b": np.ones((2, 3))}
+        targets = ((0.0, TRANSITION_LABEL), (1.0, "b"), (2.0, TRANSITION_LABEL))
+        with pytest.raises(ConstraintError, match="'transition' is reserved"):
+            gen_viseme_track(
+                two_shape_spec(shape_bank=bank, viseme_targets=targets, blend_halfwidth=0.05)
+            )
+        # also when no target holds it
+        bank = {"a": np.zeros((2, 3)), "b": np.ones((2, 3)), TRANSITION_LABEL: np.ones((2, 3))}
+        with pytest.raises(ConstraintError, match="'transition' is reserved"):
+            gen_viseme_track(two_shape_spec(shape_bank=bank))
+
     def test_frame_count_fits_the_msq_header(self):
         # round(t_last * fps) + 1 frames; an MSQ header counts them in a u32
         fits = 2.0**32 - 2
@@ -185,6 +199,27 @@ def anchored_spec(times, halfwidth=0.1, fps=10.0, num_vertices=3, seed=0):
         shape_bank=bank,
         blend_halfwidth=halfwidth,
     )
+
+
+class TestRenderMemory:
+    def test_jittered_long_track_peak(self):
+        """The render blends and jitters in place: one track of frames plus
+        one track-sized temporary at a time."""
+        spec = demo_spec(8, num_vertices=60, num_frames=3000, jitter_amplitude=0.01)
+        gen_viseme_track(spec)  # the first call imports modules lazily
+        tracemalloc.start()
+        try:
+            seq, annotation = gen_viseme_track(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.frames.shape == (3000, 60, 3)
+        assert peak <= 2.25 * seq.frames.nbytes
+        frames, labels = oracles.render_loop(spec)
+        amplitude = spec.jitter_amplitude
+        noise = np.random.default_rng(spec.seed).uniform(-amplitude, amplitude, frames.shape)
+        assert seq.frames.tobytes() == (frames + noise).tobytes()
+        assert list(annotation.labels) == labels
 
 
 class TestRenderMatchesLoop:
