@@ -109,17 +109,17 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     gt = io.read_msq(args.gt)
     cfg = _load_config(args.config)
-    model, report = toytrain.fit(
+    _, report = toytrain.fit(
         gt,
         cfg,
         annotation=_load_annotation(args.annot),
-        lips=_load_lips(args.lips, gt.num_vertices) if args.lips else None,
+        lips=_load_lips(args.lips, gt.num_vertices),
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_csv_report(report, out_dir / "report.csv")
     io.write_loss_curve(report.loss_curve, out_dir / "loss_curve.csv")
-    io.write_msq(toytrain.predict(model, gt.num_frames), out_dir / "pred.msq")
+    io.write_msq(report.prediction, out_dir / "pred.msq")
     print(
         f"trained {len(report.loss_curve)} steps ({cfg.loss_choice.value} loss): "
         f"rec {report.final_rec:.6g}, pc {report.final_pc:.6g}, "
@@ -138,7 +138,7 @@ def cmd_ablate(args) -> int:
         cfg,
         sigmas,
         annotation=_load_annotation(args.annot),
-        lips=_load_lips(args.lips, gt.num_vertices) if args.lips else None,
+        lips=_load_lips(args.lips, gt.num_vertices),
     )
     sys.stdout.write(io.format_csv_report(result))
     if args.out:
@@ -187,7 +187,8 @@ def cmd_gradcheck(args) -> int:
         ]
         for name, analytic, fn in cases:
             numeric = finite_difference_gradient(fn, gt, pred, step=args.step)
-            worst[name] = max(worst[name], relative_gradient_error(analytic, numeric))
+            # np.maximum keeps a NaN error, which max() would drop
+            worst[name] = float(np.maximum(worst[name], relative_gradient_error(analytic, numeric)))
 
         # the trainer's quadratic-form gradient against finite differences of
         # the same losses evaluated on the toy model's basis prediction
@@ -210,12 +211,12 @@ def cmd_gradcheck(args) -> int:
             return frame_loss.total + cfg.vel_coefficient * loss_vel(gt, pred).total
 
         numeric = central_difference(direct, coef, args.step)
-        worst["toy"] = max(worst["toy"], relative_gradient_error(analytic, numeric))
+        worst["toy"] = float(np.maximum(worst["toy"], relative_gradient_error(analytic, numeric)))
 
     for name in ("rec", "vel", "pc", "toy"):
         print(f"{name}: worst relative error {worst[name]:.3e} over {args.trials} trials")
-    overall = max(worst.values())
-    ok = overall <= args.tolerance
+    overall = float(np.max(list(worst.values())))
+    ok = overall <= args.tolerance  # False for a NaN error
     print(f"worst overall {overall:.3e} (tolerance {args.tolerance:g}): "
           f"{'OK' if ok else 'FAIL'}")
     return 0 if ok else 1

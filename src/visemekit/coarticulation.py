@@ -29,7 +29,6 @@ __all__ = [
     "CoarticulationWeights",
     "LossKind",
     "LossReport",
-    "motion_energy",
     "coarticulation_weights",
     "loss_rec",
     "loss_vel",
@@ -133,26 +132,6 @@ def _window_energies(diffs: np.ndarray, sigma: int) -> np.ndarray:
         block[np.arange(width) >= count[first : first + rows, None]] = 0.0
         sums[first : first + rows] = block.sum(axis=1)
     return sums / count
-
-
-def motion_energy(gt: MeshSequence, frame: int, window: WindowSpec = WindowSpec()) -> float:
-    """Mean squared frame-to-frame displacement in a window around `frame`.
-
-    `frame` is 0-based. Requires T >= 2. Under STRICT, `frame` must lie in
-    strict_frame_range(sigma, T).
-    """
-    diffs = frame_difference_norms(gt)
-    num_frames = len(diffs) + 1
-    if not 0 <= frame < num_frames:
-        raise ConstraintError(f"frame {frame} out of range for T={num_frames}")
-    if window.policy is BoundaryPolicy.STRICT:
-        start, stop = strict_frame_range(window.sigma, num_frames)
-        if not start <= frame < stop:
-            raise ConstraintError(
-                f"strict policy defines frame {frame} only for "
-                f"{start} <= frame <= {stop - 1} (sigma={window.sigma}, T={num_frames})"
-            )
-    return float(_window_energies(diffs, window.sigma)[frame])
 
 
 def _softmax(values: np.ndarray) -> np.ndarray:
@@ -295,8 +274,8 @@ def grad_loss_pc(
 
 def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:
     """Central finite differences of a scalar function, per array element."""
-    if step <= 0:
-        raise ConstraintError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ConstraintError(f"step must be finite and positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)

@@ -31,7 +31,7 @@ from . import metrics
 from .coarticulation import CoarticulationWeights, LossKind, LossReport
 from .errors import ConstraintError, FormatError
 from .mesh import MeshSequence, VertexRegionMask
-from .synth import SegmentAnnotation, SynthSpec, gen_viseme_track
+from .synth import SegmentAnnotation, SynthSpec, _validate_spec, gen_viseme_track
 from .toytrain import AblationResult, TrainConfig, TrainReport
 
 __all__ = [
@@ -466,7 +466,11 @@ def make_corpus(specs: list[SynthSpec], out_dir) -> list[CorpusRecord]:
     Emits trackNNN.msq + trackNNN.ann.csv per spec and manifest.txt with one
     tab-separated record per sequence: sequence path, annotation path, seed,
     spec hash. Regenerating from the same specs reproduces identical bytes.
+    Every spec is checked before anything is written, so a rejected spec
+    leaves no directory or track behind.
     """
+    for spec in specs:
+        _validate_spec(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records: list[CorpusRecord] = []

@@ -127,6 +127,7 @@ class TrainReport:
     final_vel: float
     final_pc: float
     metrics: metrics.MetricReport
+    prediction: MeshSequence  # the fitted model's frames, the sequence scored above
     lve_transition: float | None = None
     lve_hold: float | None = None
 
@@ -182,7 +183,6 @@ def objective_and_gradient(
     gt: MeshSequence,
     coef: np.ndarray,
     cfg: TrainConfig,
-    basis: np.ndarray | None = None,
     weights: CoarticulationWeights | None = None,
 ) -> tuple[float, np.ndarray]:
     """Training objective at `coef` and its gradient w.r.t. `coef`.
@@ -192,9 +192,7 @@ def objective_and_gradient(
     quadratic form; the gradient is 2 (G C - R).
     """
     coef = np.asarray(coef, dtype=np.float64)
-    if basis is None:
-        basis = temporal_basis(gt.num_frames, len(coef))
-    form = _quadratic_form(gt, cfg, basis, weights)
+    form = _quadratic_form(gt, cfg, temporal_basis(gt.num_frames, len(coef)), weights)
     total, residual = _evaluate_form(*form, coef.reshape(len(coef), -1))
     return total, (2.0 * residual).reshape(coef.shape)
 
@@ -213,6 +211,8 @@ def fit(
     once from them. The cfg.steps gradient-descent iterates are evaluated in
     closed form from one eigendecomposition of that form, without stepping.
     Raises DivergenceError at the first step whose objective is non-finite.
+    The report carries the fitted prediction its losses and metrics were
+    computed on, expanded from the basis the fit built.
     When `annotation` is given the report also carries lip error split by
     transition vs hold frames.
     """
@@ -264,7 +264,7 @@ def fit(
     flat += modes @ (moved[:, None] * shift)
 
     model = ToyModel(coef, gt.fps)
-    pred = predict(model, num_frames)
+    pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), gt.fps)
 
     lips_mask = lips if lips is not None else VertexRegionMask.full(num_vertices)
     report_metrics = metrics.evaluate(gt, pred, lips_mask)
@@ -288,6 +288,7 @@ def fit(
         final_vel=loss_vel(gt, pred).total,
         final_pc=loss_pc(gt, pred, weights).total,
         metrics=report_metrics,
+        prediction=pred,
         lve_transition=lve_transition,
         lve_hold=lve_hold,
     )

@@ -12,13 +12,16 @@ from visemekit import (
     MeshSequence,
     SegmentAnnotation,
     VertexRegionMask,
+    demo_spec,
     evaluate,
     format_csv_report,
+    gen_viseme_track,
+    parse_train_config,
     read_msq,
     write_annotation,
     write_msq,
 )
-from visemekit import toytrain
+from visemekit import cli, toytrain
 from visemekit.cli import main
 
 MICRO_FRAMES = [[[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]]
@@ -211,6 +214,15 @@ class TestGen:
         )
         assert not (out / "track000.ann.csv").exists()
 
+    def test_rejected_spec_leaves_no_directory(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("num_vertices = 1\nfps = 10\nshape.transition = 0 0 0\n"
+                        "target = 0 transition\n")
+        out = tmp_path / "corpus"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "reserved" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_regeneration_identical(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text(SPEC_TEXT)
@@ -330,6 +342,31 @@ class TestTrain:
         keys = [row.split(",")[0] for row in (out / "report.csv").read_text().splitlines()]
         assert "lve_transition" in keys and "lve_hold" in keys
 
+    @pytest.mark.parametrize("loss", ["pc", "rec"])
+    def test_pred_msq_is_the_fitted_prediction(self, tmp_path, capsys, monkeypatch, loss):
+        # one run builds its basis once and writes the prediction fit scored
+        gt = tmp_path / "gt.msq"
+        spec = demo_spec(seed=8, num_vertices=8, num_frames=48, num_lip_vertices=4)
+        write_msq(gen_viseme_track(spec)[0], gt)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"loss = {loss}\nlearning_rate = 0.2\nsteps = 200\nnum_basis = 12\n")
+        calls = {"temporal_basis": 0, "predict": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(toytrain, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(toytrain, name, counted)
+        out = tmp_path / "run"
+        assert main(["train", "--gt", str(gt), "--out", str(out), "--config", str(cfg)]) == 0
+        assert calls == {"temporal_basis": 1, "predict": 0}
+        monkeypatch.undo()
+
+        seq = read_msq(gt)
+        model, _ = toytrain.fit(seq, parse_train_config(cfg.read_text()))
+        write_msq(toytrain.predict(model, seq.num_frames), tmp_path / "want.msq")
+        assert (out / "pred.msq").read_bytes() == (tmp_path / "want.msq").read_bytes()
+
     def test_default_config(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (12, 1, 3)))
@@ -443,6 +480,33 @@ class TestGradcheck:
     def test_negative_seed(self, capsys):
         assert main(["gradcheck", "--trials", "1", "--seed", "-1"]) == 1
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step(self, capsys, step):
+        assert main(["gradcheck", "--trials", "1", "--step", step]) == 1
+        captured = capsys.readouterr()
+        assert "step must be finite and positive" in captured.err
+        assert "OK" not in captured.out
+
+    def test_nan_error_fails(self, capsys, monkeypatch):
+        # a NaN first error must survive the later finite ones: max() kept 0.0
+        real, calls = cli.relative_gradient_error, []
+
+        def first_is_nan(analytic, numeric):
+            calls.append(None)
+            return float("nan") if len(calls) == 1 else real(analytic, numeric)
+
+        monkeypatch.setattr(cli, "relative_gradient_error", first_is_nan)
+        assert main(["gradcheck", "--trials", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "rec: worst relative error nan" in out
+        assert out.strip().endswith("FAIL")
+
+    def test_overflowing_step_fails(self, capsys):
+        # finite, but 2 * step overflows, so every difference quotient is NaN
+        with np.errstate(all="ignore"):
+            assert main(["gradcheck", "--trials", "1", "--step", "1e308"]) == 1
+        assert capsys.readouterr().out.strip().endswith("FAIL")
 
 
 class TestParser:

@@ -20,7 +20,6 @@ from visemekit import (
     loss_pc,
     loss_rec,
     loss_vel,
-    motion_energy,
     relative_gradient_error,
     strict_frame_range,
 )
@@ -48,27 +47,34 @@ class TestWindowSpec:
             WindowSpec(-1)
 
 
+def energies(s, window=WindowSpec()):
+    """Windowed motion energy by 0-based frame, as coarticulation_weights
+    reports it: raw_energy[i] belongs to frame frame_start + i."""
+    w = coarticulation_weights(s, window)
+    return {w.frame_start + i: e for i, e in enumerate(w.raw_energy)}
+
+
 class TestMotionEnergy:
     def test_static_is_zero(self):
-        assert motion_energy(seq(np.ones((5, 2, 3))), 2) == 0.0
+        assert energies(seq(np.ones((5, 2, 3))))[2] == 0.0
 
     def test_micro_example_clamp(self):
-        s = seq(MICRO_FRAMES)
-        w = WindowSpec(1)
-        assert motion_energy(s, 0, w) == 1.0
-        assert motion_energy(s, 1, w) == 0.5
-        assert motion_energy(s, 2, w) == 0.5
+        e = energies(seq(MICRO_FRAMES), WindowSpec(1))
+        assert e[0] == 1.0
+        assert e[1] == 0.5
+        assert e[2] == 0.5
 
     def test_constant_velocity_both_policies(self):
         t = np.arange(6, dtype=np.float64)
         frames = np.zeros((6, 2, 3))
         frames[:, :, 0] = t[:, None] * 0.5  # step norm^2 = 2 * 0.25 = 0.5
         s = seq(frames)
+        clamp = energies(s, WindowSpec(2))
         for frame in range(6):
-            assert motion_energy(s, frame, WindowSpec(2)) == pytest.approx(0.5)
+            assert clamp[frame] == pytest.approx(0.5)
+        strict = energies(s, WindowSpec(2, BoundaryPolicy.STRICT))
         for frame in range(2, 4):
-            strict = WindowSpec(2, BoundaryPolicy.STRICT)
-            assert motion_energy(s, frame, strict) == pytest.approx(0.5)
+            assert strict[frame] == pytest.approx(0.5)
 
     def test_matches_clamp_oracle(self):
         rng = np.random.default_rng(11)
@@ -76,45 +82,36 @@ class TestMotionEnergy:
             num_frames = int(rng.integers(2, 41))
             sigma = int(rng.integers(0, 9))
             frames = rng.normal(0.0, 1.0, (num_frames, 2, 3))
-            s = seq(frames)
+            got = energies(seq(frames), WindowSpec(sigma))
             for frame in range(num_frames):
                 expected = oracles.window_energy_clamp(frames.tolist(), frame + 1, sigma)
-                got = motion_energy(s, frame, WindowSpec(sigma))
-                assert got == pytest.approx(expected, rel=1e-12)
+                assert got[frame] == pytest.approx(expected, rel=1e-12)
 
     def test_strict_matches_oracle_on_interior(self):
         rng = np.random.default_rng(12)
         frames = rng.normal(0.0, 1.0, (9, 2, 3))
         s = seq(frames)
         for sigma in (1, 2, 3):
-            window = WindowSpec(sigma, BoundaryPolicy.STRICT)
+            got = energies(s, WindowSpec(sigma, BoundaryPolicy.STRICT))
             for frame in range(sigma, 9 - sigma):
                 expected = oracles.window_energy_strict(frames.tolist(), frame + 1, sigma)
-                assert motion_energy(s, frame, window) == pytest.approx(expected, rel=1e-12)
+                assert got[frame] == pytest.approx(expected, rel=1e-12)
 
     def test_strict_outside_domain(self):
-        s = seq(np.zeros((6, 1, 3)))
-        with pytest.raises(ConstraintError):
-            motion_energy(s, 0, WindowSpec(2, BoundaryPolicy.STRICT))
-        with pytest.raises(ConstraintError):
-            motion_energy(s, 5, WindowSpec(2, BoundaryPolicy.STRICT))
+        # frames 0 and 5 of a 6-frame track have no full sigma=2 window
+        w = coarticulation_weights(seq(np.zeros((6, 1, 3))), WindowSpec(2, BoundaryPolicy.STRICT))
+        assert (w.frame_start, w.frame_start + len(w.raw_energy)) == strict_frame_range(2, 6)
+        assert (w.frame_start, len(w.raw_energy)) == (2, 2)
 
     def test_strict_empty_window(self):
         # sigma=0 at the first frame: the only candidate step predates the sequence
-        s = seq(np.zeros((4, 1, 3)))
-        with pytest.raises(ConstraintError):
-            motion_energy(s, 0, WindowSpec(0, BoundaryPolicy.STRICT))
+        w = coarticulation_weights(seq(np.zeros((4, 1, 3))), WindowSpec(0, BoundaryPolicy.STRICT))
+        assert (w.frame_start, w.frame_start + len(w.raw_energy)) == strict_frame_range(0, 4)
+        assert (w.frame_start, len(w.raw_energy)) == (1, 3)
 
     def test_needs_two_frames(self):
         with pytest.raises(ConstraintError):
-            motion_energy(seq(np.zeros((1, 1, 3))), 0)
-
-    def test_frame_out_of_range(self):
-        s = seq(np.zeros((4, 1, 3)))
-        with pytest.raises(ConstraintError):
-            motion_energy(s, 4)
-        with pytest.raises(ConstraintError):
-            motion_energy(s, -1)
+            coarticulation_weights(seq(np.zeros((1, 1, 3))))
 
 
 class TestCoarticulationWeights:

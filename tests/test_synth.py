@@ -368,6 +368,15 @@ class TestMakeCorpus:
         for name in ("track000.msq", "track001.msq", "track000.ann.csv", "manifest.txt"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_bad_spec_writes_nothing(self, tmp_path):
+        # the good spec comes first: it is not rendered before the bad one is seen
+        bad = two_shape_spec(viseme_targets=((0.0, "a"), (1.0, "missing")))
+        out = tmp_path / "corpus"
+        with pytest.raises(ConstraintError, match="missing"):
+            make_corpus([two_shape_spec(), bad], out)
+        assert not out.exists()
+        assert not list(tmp_path.rglob("track000.*"))
+
 
 class TestSpecHash:
     def test_stable(self):

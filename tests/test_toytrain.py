@@ -260,6 +260,17 @@ class TestFit:
         with pytest.raises(ConstraintError):
             fit(seq(np.zeros((1, 1, 3))), TrainConfig(steps=1, num_basis=1))
 
+    @pytest.mark.parametrize("kind", [LossKind.REC, LossKind.PC])
+    def test_prediction_is_the_model_prediction(self, kind):
+        spec = demo_spec(seed=4, num_vertices=8, num_frames=40, num_lip_vertices=4)
+        gt, _ = gen_viseme_track(spec)
+        cfg = TrainConfig(loss_choice=kind, learning_rate=0.2, steps=300, seed=2, num_basis=10)
+        model, report = fit(gt, cfg)
+        want = predict(model, gt.num_frames)
+        assert report.prediction.frames.tobytes() == want.frames.tobytes()
+        assert report.prediction.fps == want.fps == gt.fps
+        assert report.final_rec == loss_rec(gt, want).total
+
 
 def quadratic_form(gt, cfg):
     basis = temporal_basis(gt.num_frames, cfg.num_basis)
