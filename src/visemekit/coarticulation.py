@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError, require_integer
-from .mesh import MeshSequence, frame_difference_norms, require_same_shape
+from .mesh import MeshSequence, _row_blocks, frame_difference_norms, require_same_shape
 
 __all__ = [
     "BoundaryPolicy",
@@ -105,9 +105,6 @@ class LossReport:
 
 # -- windowed motion energy --------------------------------------------------
 
-_GATHER_ELEMENTS = 1 << 20  # 8 MB of float64 per gathered block of windows
-
-
 def _window_energies(diffs: np.ndarray, sigma: int) -> np.ndarray:
     """CLAMP-policy energy of every frame 0..T-1, from the T-1 step norms.
 
@@ -125,12 +122,11 @@ def _window_energies(diffs: np.ndarray, sigma: int) -> np.ndarray:
     view = sliding_window_view(np.concatenate([diffs, np.zeros(width - 1)]), width)
     sums = np.empty(len(frames))
     # Gather in row blocks so a radius near T cannot allocate a (T, T) array;
-    # at the usual radii the whole track is one block.
-    rows = max(_GATHER_ELEMENTS // width, 1)
-    for first in range(0, len(frames), rows):
-        block = view[lo[first : first + rows]]
-        block[np.arange(width) >= count[first : first + rows, None]] = 0.0
-        sums[first : first + rows] = block.sum(axis=1)
+    # at the usual radii and lengths the whole track is one block.
+    for rows in _row_blocks(0, len(frames), width):
+        block = view[lo[rows]]
+        block[np.arange(width) >= count[rows, None]] = 0.0
+        sums[rows] = block.sum(axis=1)
     return sums / count
 
 
@@ -303,7 +299,7 @@ def finite_difference_gradient(
     """
 
     def evaluate(frames: np.ndarray) -> float:
-        value = loss_fn(gt, MeshSequence(frames, pred.fps, pred.label))
+        value = loss_fn(gt, MeshSequence(frames, pred.fps))
         if isinstance(value, LossReport):
             return value.total
         return float(value)

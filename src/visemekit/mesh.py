@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +29,6 @@ class MeshSequence:
     frames: array of shape (T, V, 3) with T >= 1 and V >= 1, stored as
     float64; lists and other array-likes are converted.
     fps: frames per second, finite and > 0, stored as a float.
-    label: optional text identifier carried through transformations.
 
     Shape and fps are checked here, once. Coordinate finiteness is not: a
     diverging fit must still be able to hold its non-finite prediction, so
@@ -37,7 +37,6 @@ class MeshSequence:
 
     frames: np.ndarray
     fps: float
-    label: str | None = None
 
     def __post_init__(self):
         try:
@@ -104,7 +103,19 @@ def require_same_shape(gt: MeshSequence, pred: MeshSequence) -> tuple[np.ndarray
     return a, b
 
 
-_DIFF_ELEMENTS = 1 << 13  # 64 KB of float64 per block of frame differences
+# Every row-blocked loop (frame differences, windowed energy, the DTW
+# local-cost table, the closed-form loss curve) sizes its blocks from this one
+# budget. Each row's result is independent of the block size.
+_BLOCK_ELEMENTS = 1 << 15  # 256 KB of float64 per block
+
+
+def _row_blocks(start: int, stop: int, row_elements: int) -> Iterator[slice]:
+    """Consecutive slices covering rows start..stop-1 of a loop whose rows
+    hold `row_elements` values each: _BLOCK_ELEMENTS // row_elements rows per
+    slice, and at least one row when a single row exceeds the budget."""
+    rows = max(_BLOCK_ELEMENTS // max(row_elements, 1), 1)
+    for first in range(start, stop, rows):
+        yield slice(first, min(first + rows, stop))
 
 
 def frame_difference_norms(seq: MeshSequence) -> np.ndarray:
@@ -113,24 +124,22 @@ def frame_difference_norms(seq: MeshSequence) -> np.ndarray:
     Entry j is sum_i sum_c (frames[j+1, i, c] - frames[j, i, c])**2, so the
     output has length T - 1. Requires T >= 2.
 
-    The differences are formed, squared and summed in row blocks of about
-    _DIFF_ELEMENTS values, so no (T - 1, V, 3) temporary is allocated. On
-    C-contiguous frames (what read_msq returns) each row is reduced exactly
-    as in one whole-track `np.sum(deltas * deltas, axis=(1, 2))`.
+    The differences are formed, squared and summed in _row_blocks, so no
+    (T - 1, V, 3) temporary is allocated. On C-contiguous frames (what
+    read_msq returns) each row is reduced exactly as in one whole-track
+    `np.sum(deltas * deltas, axis=(1, 2))`.
     """
     frames = seq.frames
     if len(frames) < 2:
         raise ConstraintError(
             f"need at least 2 frames to form differences, got {len(frames)}"
         )
-    steps = len(frames) - 1
-    out = np.empty(steps)
-    rows = max(_DIFF_ELEMENTS // frames[0].size, 1)
-    scratch = np.empty((min(rows, steps),) + frames.shape[1:])
-    for first in range(0, steps, rows):
-        stop = min(first + rows, steps)
-        block = scratch[: stop - first]
-        np.subtract(frames[first + 1 : stop + 1], frames[first:stop], out=block)
+    out = np.empty(len(frames) - 1)
+    blocks = list(_row_blocks(0, len(out), frames[0].size))
+    scratch = np.empty((blocks[0].stop,) + frames.shape[1:])
+    for rows in blocks:
+        block = scratch[: rows.stop - rows.start]
+        np.subtract(frames[rows.start + 1 : rows.stop + 1], frames[rows], out=block)
         np.multiply(block, block, out=block)
-        block.sum(axis=(1, 2), out=out[first:stop])
+        block.sum(axis=(1, 2), out=out[rows])
     return out

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConstraintError
-from .mesh import MeshSequence, VertexRegionMask, require_same_shape
+from .mesh import MeshSequence, VertexRegionMask, _row_blocks, require_same_shape
 
 __all__ = [
     "MetricReport",
@@ -28,7 +28,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricReport:
-    """All four metrics plus per-frame breakdowns and diagnostics."""
+    """All four metrics plus their per-frame breakdowns."""
 
     fve: float
     lve: float
@@ -36,8 +36,6 @@ class MetricReport:
     lip_max: float
     per_frame_fve: np.ndarray
     per_frame_lve: np.ndarray
-    # largest lip vertex error anywhere in the sequence, for diagnosis
-    lip_max_global: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,6 @@ class DtwResult:
 
 
 # -- dynamic time warping -----------------------------------------------------
-
-_COST_BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per broadcast block of differences
-
 
 def _euclidean_cost(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance between every raveled frame of `rows` and of `b`.
@@ -129,9 +124,8 @@ def dtw(
     width = m + 1
     table = np.full((n + 1, width), np.inf)
     table[0, 0] = 0.0
-    rows = max(_COST_BLOCK_ELEMENTS // (m * max(b[0].size, 1)), 1)
-    for first in range(0, n, rows):
-        table[first + 1 : first + rows + 1, 1:] = cost(a[first : first + rows], b)
+    for rows in _row_blocks(0, n, m * b[0].size):
+        table[rows.start + 1 : rows.stop + 1, 1:] = cost(a[rows], b)
     flat = table.reshape(-1)
     for d in range(n + m - 1):
         i0, i1 = max(0, d - m + 1), min(n - 1, d)
@@ -200,5 +194,4 @@ def evaluate(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> Me
         lip_max=float(lip_errors.max(axis=1).mean()),
         per_frame_fve=per_frame_fve,
         per_frame_lve=per_frame_lve,
-        lip_max_global=float(lip_errors.max()),
     )

@@ -154,7 +154,7 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     choice = np.where(alpha == 0.0, seg, np.where(alpha == 1.0, nxt, last + 1))
     labels = tuple(np.array(ids + [TRANSITION_LABEL], dtype=object)[choice])
 
-    clean = MeshSequence(frames, spec.fps, spec.label)
+    clean = MeshSequence(frames, spec.fps)
 
     if num_frames >= 2:
         energy = coarticulation_weights(clean, WindowSpec()).raw_energy
@@ -173,8 +173,7 @@ def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequenc
     """Perturb every coordinate with uniform noise in [-amplitude, amplitude].
 
     The noise comes from numpy's PCG64 stream seeded with `seed`, so repeat
-    calls are bitwise identical; the generator id is recorded in the label.
-    Amplitude 0 returns the input unchanged.
+    calls are bitwise identical. Amplitude 0 returns the input unchanged.
     """
     _require_amplitude(amplitude, "jitter amplitude")
     seed = require_integer(seed, "seed")
@@ -183,9 +182,7 @@ def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequenc
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-amplitude, amplitude, size=seq.frames.shape)
     noise += seq.frames
-    tag = f"jitter(uniform,pcg64,amp={amplitude:g},seed={seed})"
-    label = f"{seq.label}+{tag}" if seq.label else tag
-    return MeshSequence(noise, seq.fps, label)
+    return MeshSequence(noise, seq.fps)
 
 
 # -- a ready-made corpus recipe -------------------------------------------------
@@ -209,6 +206,11 @@ def demo_spec(
     differ mostly there, so transitions show up as concentrated lip motion.
     Targets are evenly spaced so the track has exactly `num_frames` frames.
     """
+    if not 0 <= num_lip_vertices <= num_vertices:
+        raise ConstraintError(
+            f"num_lip_vertices must lie in [0, num_vertices={num_vertices}], "
+            f"got {num_lip_vertices}"
+        )
     rng = np.random.default_rng(seed)
     base = rng.normal(0.0, 0.5, size=(num_vertices, 3))
     bank: dict[str, np.ndarray] = {"rest": base}

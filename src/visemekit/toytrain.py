@@ -27,7 +27,7 @@ from .coarticulation import (
     loss_vel,
 )
 from .errors import ConstraintError, DivergenceError, require_integer
-from .mesh import MeshSequence, VertexRegionMask
+from .mesh import MeshSequence, VertexRegionMask, _row_blocks
 from .synth import SegmentAnnotation
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "objective_and_gradient",
     "ablate_window",
 ]
-
-_CURVE_BLOCK_ELEMENTS = 1 << 16  # 512 KB of float64 per (step, mode) block of loss terms
 
 
 def _cubic_bspline(x: np.ndarray) -> np.ndarray:
@@ -248,13 +246,12 @@ def fit(
     weight = np.sum(descent * shift, axis=1)
     log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as lam -> 0
     curve = np.full(cfg.steps, total)  # entry 0 is f(0); the blocks add the rest from t = 1
-    rows = max(_CURVE_BLOCK_ELEMENTS // num_basis, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for first in range(1, cfg.steps, rows):
-            x = np.arange(first, min(first + rows, cfg.steps))[:, None] * log_rho2
+        for rows in _row_blocks(1, cfg.steps, num_basis):
+            x = np.arange(rows.start, rows.stop)[:, None] * log_rho2
             # a growing term overflows when w rho^2t does, not when rho^2t does
             terms = np.where(x > 1.0, np.exp(x + np.log(weight)) - weight, weight * np.expm1(x))
-            curve[first : first + rows] += terms.sum(axis=1)
+            curve[rows] += terms.sum(axis=1)
         rho = 1.0 - 2.0 * rate
         moved = np.where(rho > 0, -np.expm1(cfg.steps * np.log1p(-2.0 * rate)), 1.0 - rho**cfg.steps)
     diverged = np.flatnonzero(~np.isfinite(curve))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from visemekit import coarticulation
+from visemekit import mesh
 from visemekit import (
     BoundaryPolicy,
     CoarticulationWeights,
@@ -205,7 +205,7 @@ class TestCoarticulationWeights:
         frames = rng.normal(0.0, 1.0, (23, 2, 3))
         whole = [coarticulation_weights(seq(frames), WindowSpec(s)).raw_energy for s in range(9)]
         # a tiny block budget forces several blocks, some holding one row
-        monkeypatch.setattr(coarticulation, "_GATHER_ELEMENTS", 20)
+        monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", 20)
         for sigma in range(9):
             blocked = coarticulation_weights(seq(frames), WindowSpec(sigma)).raw_energy
             assert np.array_equal(blocked, whole[sigma])

@@ -106,3 +106,17 @@ def test_references_import_nothing_from_the_package():
         if _imports_package(node)
     ]
     assert found == []
+
+
+def test_one_block_budget():
+    """Every row-blocked loop shares mesh._BLOCK_ELEMENTS; no other module
+    defines a top-level *_ELEMENTS budget of its own."""
+    found = [
+        f"{name}.{target.id}"
+        for name in MODULES
+        for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_ELEMENTS")
+    ]
+    assert found == ["mesh._BLOCK_ELEMENTS"]

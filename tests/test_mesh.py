@@ -10,7 +10,7 @@ from visemekit import (
     VertexRegionMask,
     frame_difference_norms,
 )
-from visemekit.mesh import _DIFF_ELEMENTS, require_same_shape
+from visemekit.mesh import _BLOCK_ELEMENTS, require_same_shape
 
 
 def seq(frames, fps=30.0):
@@ -100,7 +100,7 @@ class TestFrameDifferenceNorms:
 
 
 class TestBlockedFrameDifferences:
-    """frame_difference_norms works in row blocks of _DIFF_ELEMENTS values;
+    """frame_difference_norms works in row blocks of _BLOCK_ELEMENTS values;
     the block edges must not show in the result."""
 
     @staticmethod
@@ -111,7 +111,7 @@ class TestBlockedFrameDifferences:
         return rng.integers(-8, 9, (num_frames, num_vertices, 3)).astype(np.float64)
 
     def rows(self, num_vertices):
-        return max(_DIFF_ELEMENTS // (num_vertices * 3), 1)
+        return max(_BLOCK_ELEMENTS // (num_vertices * 3), 1)
 
     @pytest.mark.parametrize("offset", ["two", "rows-1", "rows", "rows+1", "3rows+1"])
     def test_equals_loop_oracle_at_block_edges(self, offset):
@@ -124,7 +124,7 @@ class TestBlockedFrameDifferences:
         assert got.tolist() == oracles.step_sq_norms(frames.tolist())
 
     def test_frame_larger_than_a_block(self):
-        num_vertices = _DIFF_ELEMENTS // 3 + 5  # one row per block
+        num_vertices = _BLOCK_ELEMENTS // 3 + 5  # one row per block
         assert self.rows(num_vertices) == 1
         frames = self.integer_track(4, num_vertices, seed=1)
         got = frame_difference_norms(seq(frames))

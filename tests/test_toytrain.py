@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from visemekit import toytrain
+from visemekit import mesh, toytrain
 from visemekit import (
     ConstraintError,
     DivergenceError,
@@ -270,6 +270,20 @@ class TestFit:
         assert report.prediction.frames.tobytes() == want.frames.tobytes()
         assert report.prediction.fps == want.fps == gt.fps
         assert report.final_rec == loss_rec(gt, want).total
+
+    @pytest.mark.parametrize("kind", [LossKind.REC, LossKind.PC])
+    def test_curve_blocks_match_one_block(self, kind, monkeypatch):
+        spec = demo_spec(seed=4, num_vertices=8, num_frames=40, num_lip_vertices=4)
+        gt, _ = gen_viseme_track(spec)
+        cfg = TrainConfig(loss_choice=kind, learning_rate=0.2, steps=300, seed=2, num_basis=10)
+        whole_model, whole = fit(gt, cfg)
+        # a tiny budget splits the 299 curve rows into blocks, down to one row
+        for budget in (1, 25, 70):
+            monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", budget)
+            model, report = fit(gt, cfg)
+            assert report.loss_curve.tobytes() == whole.loss_curve.tobytes()
+            assert model.coef.tobytes() == whole_model.coef.tobytes()
+            assert report.metrics.ldtw == whole.metrics.ldtw
 
 
 def quadratic_form(gt, cfg):
