@@ -31,7 +31,7 @@ for kind in (LossKind.REC, LossKind.PC):
         seed=0,
         num_basis=30,
     )
-    _, report = fit(track, cfg, annotation=annotation, lips=lips)
+    report = fit(track, cfg, annotation=annotation, lips=lips)
     reports[kind] = report
     print(
         f"{kind.value:>3s}: final rec {report.final_rec:8.3f}  "

@@ -50,13 +50,11 @@ from .synth import SegmentAnnotation, SynthSpec, demo_spec, gen_viseme_track, in
 from .toytrain import (
     AblationResult,
     AblationRow,
-    ToyModel,
     TrainConfig,
     TrainReport,
     ablate_window,
     fit,
     objective_and_gradient,
-    predict,
     temporal_basis,
 )
 
@@ -113,13 +111,11 @@ __all__ = [
     "inject_jitter",
     "AblationResult",
     "AblationRow",
-    "ToyModel",
     "TrainConfig",
     "TrainReport",
     "ablate_window",
     "fit",
     "objective_and_gradient",
-    "predict",
     "temporal_basis",
     "__version__",
 ]

@@ -109,7 +109,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     gt = io.read_msq(args.gt)
     cfg = _load_config(args.config)
-    _, report = toytrain.fit(
+    report = toytrain.fit(
         gt,
         cfg,
         annotation=_load_annotation(args.annot),
@@ -200,10 +200,11 @@ def cmd_gradcheck(args) -> int:
             sigma=sigma,
             steps=1,
         )
-        _, analytic = toytrain.objective_and_gradient(gt, coef, cfg, weights=weights)
+        _, analytic = toytrain.objective_and_gradient(gt, coef, cfg)
+        basis = toytrain.temporal_basis(num_frames, num_basis)
 
         def direct(c):
-            pred = toytrain.predict(toytrain.ToyModel(c, fps), num_frames)
+            pred = MeshSequence(np.tensordot(basis, c, axes=(1, 0)), fps)
             if cfg.loss_choice is LossKind.PC:
                 frame_loss = loss_pc(gt, pred, weights)
             else:

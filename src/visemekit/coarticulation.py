@@ -210,21 +210,13 @@ def _check_weights(weights: CoarticulationWeights, num_frames: int) -> None:
         )
 
 
-def loss_pc(
-    gt: MeshSequence,
-    pred: MeshSequence,
-    weights: CoarticulationWeights | None = None,
-) -> LossReport:
+def loss_pc(gt: MeshSequence, pred: MeshSequence, weights: CoarticulationWeights) -> LossReport:
     """Coarticulation-weighted reconstruction loss.
 
     Each frame's squared vertex error is scaled by its viseme coarticulation
-    weight. When `weights` is omitted they are computed from `gt` with the
-    default window (sigma=2, CLAMP); pass precomputed weights to reuse them
-    across training steps.
+    weight, which must cover every frame of `gt` (CLAMP weights of `gt`).
     """
     errors = _per_frame_sq_error(gt, pred)
-    if weights is None:
-        weights = coarticulation_weights(gt)
     _check_weights(weights, len(errors))
     per_frame = weights.weights * errors
     return LossReport(float(per_frame.sum()), per_frame, LossKind.PC)
@@ -253,14 +245,10 @@ def grad_loss_vel(gt: MeshSequence, pred: MeshSequence) -> np.ndarray:
 
 
 def grad_loss_pc(
-    gt: MeshSequence,
-    pred: MeshSequence,
-    weights: CoarticulationWeights | None = None,
+    gt: MeshSequence, pred: MeshSequence, weights: CoarticulationWeights
 ) -> np.ndarray:
     """d loss_pc / d pred; exact because the weights do not depend on pred."""
     a, b = require_same_shape(gt, pred)
-    if weights is None:
-        weights = coarticulation_weights(gt)
     _check_weights(weights, len(a))
     return 2.0 * weights.weights[:, None, None] * (b - a)
 

@@ -160,13 +160,10 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
         energy = coarticulation_weights(clean, WindowSpec()).raw_energy
     else:
         energy = np.zeros(num_frames)
-    high_motion = energy > np.median(energy)
-    annotation = SegmentAnnotation(labels, high_motion)
-
-    track = clean
-    if spec.jitter_amplitude > 0:
-        track = inject_jitter(clean, spec.jitter_amplitude, spec.seed)
-    return track, annotation
+    # the median as np.median computes it, without its numpy.ma import
+    median = np.sort(energy)[(num_frames - 1) // 2 : num_frames // 2 + 1].mean()
+    annotation = SegmentAnnotation(labels, energy > median)
+    return inject_jitter(clean, spec.jitter_amplitude, spec.seed), annotation
 
 
 def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequence:
@@ -192,20 +189,18 @@ def demo_spec(
     seed: int,
     num_vertices: int = 60,
     num_frames: int = 120,
-    fps: float = 30.0,
     num_lip_vertices: int = 20,
-    lip_scale: float = 0.8,
-    face_scale: float = 0.05,
-    blend_halfwidth: float = 0.1,
     jitter_amplitude: float = 0.01,
-    num_targets: int = 8,
 ) -> SynthSpec:
     """A track with strong viseme transitions, for demos and experiments.
 
     Vertices [0, num_lip_vertices) act as the "lip" region: the bank shapes
-    differ mostly there, so transitions show up as concentrated lip motion.
-    Targets are evenly spaced so the track has exactly `num_frames` frames.
+    differ mostly there (offsets of scale 0.8 against 0.05 elsewhere), so
+    transitions show up as concentrated lip motion. Eight targets are evenly
+    spaced at 30 fps so the track has exactly `num_frames` frames, with
+    0.1 s crossfades.
     """
+    fps = 30.0
     if not 0 <= num_lip_vertices <= num_vertices:
         raise ConstraintError(
             f"num_lip_vertices must lie in [0, num_vertices={num_vertices}], "
@@ -217,14 +212,14 @@ def demo_spec(
     num_shapes = 4
     for k in range(num_shapes):
         shape = base.copy()
-        shape[:num_lip_vertices] += rng.normal(0.0, lip_scale, size=(num_lip_vertices, 3))
+        shape[:num_lip_vertices] += rng.normal(0.0, 0.8, size=(num_lip_vertices, 3))
         shape[num_lip_vertices:] += rng.normal(
-            0.0, face_scale, size=(num_vertices - num_lip_vertices, 3)
+            0.0, 0.05, size=(num_vertices - num_lip_vertices, 3)
         )
         bank[f"vis{k}"] = shape
 
     duration = (num_frames - 1) / fps
-    anchor_times = np.linspace(0.0, duration, num_targets)
+    anchor_times = np.linspace(0.0, duration, 8)
     names = list(bank)
     targets = []
     prev = None
@@ -239,7 +234,7 @@ def demo_spec(
         fps=fps,
         viseme_targets=tuple(targets),
         shape_bank=bank,
-        blend_halfwidth=blend_halfwidth,
+        blend_halfwidth=0.1,
         jitter_amplitude=jitter_amplitude,
         seed=seed,
         label=f"demo-{seed}",

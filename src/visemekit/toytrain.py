@@ -20,7 +20,6 @@ from .coarticulation import (
     CoarticulationWeights,
     LossKind,
     WindowSpec,
-    _check_weights,
     coarticulation_weights,
     loss_pc,
     loss_rec,
@@ -31,13 +30,11 @@ from .mesh import MeshSequence, VertexRegionMask, _row_blocks
 from .synth import SegmentAnnotation
 
 __all__ = [
-    "ToyModel",
     "TrainConfig",
     "TrainReport",
     "AblationRow",
     "AblationResult",
     "temporal_basis",
-    "predict",
     "fit",
     "objective_and_gradient",
     "ablate_window",
@@ -74,18 +71,6 @@ def temporal_basis(num_frames: int, num_basis: int) -> np.ndarray:
         centers = np.linspace(0.0, num_frames - 1.0, num_basis)
         spacing = max((num_frames - 1.0) / (num_basis - 1.0), 1e-9)
     return _cubic_bspline((t[:, None] - centers[None, :]) / spacing)
-
-
-@dataclass
-class ToyModel:
-    """Trainable coefficients (K, V, 3) over the fixed temporal basis."""
-
-    coef: np.ndarray
-    fps: float = 30.0
-
-    @property
-    def num_basis(self) -> int:
-        return len(self.coef)
 
 
 @dataclass(frozen=True)
@@ -125,22 +110,17 @@ class TrainReport:
     final_vel: float
     final_pc: float
     metrics: metrics.MetricReport
-    prediction: MeshSequence  # the fitted model's frames, the sequence scored above
+    coef: np.ndarray  # fitted coefficients (K, V, 3) over the temporal basis
+    prediction: MeshSequence  # their basis expansion, the sequence scored above
     lve_transition: float | None = None
     lve_hold: float | None = None
-
-
-def predict(model: ToyModel, num_frames: int) -> MeshSequence:
-    """Evaluate the basis expansion at frames 0..num_frames-1."""
-    basis = temporal_basis(num_frames, model.num_basis)
-    return MeshSequence(np.tensordot(basis, model.coef, axes=(1, 0)), model.fps)
 
 
 def _quadratic_form(
     gt: MeshSequence,
     cfg: TrainConfig,
     basis: np.ndarray,
-    weights: CoarticulationWeights | None,
+    weights: CoarticulationWeights,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The training objective as an exact quadratic in the coefficients.
 
@@ -149,17 +129,11 @@ def _quadratic_form(
     the objective at flattened coefficients C (K, 3V) is
         f(C) = <C, G C> - 2 <C, R> + c0,
     with G = B^T M B, R = B^T M Y and c0 = <Y, M Y> for the basis B and the
-    flattened targets Y (T, 3V). The weights depend on the ground truth only,
+    flattened targets Y (T, 3V). The weights are the CLAMP weights of `gt`,
     so the form is fixed for a whole fit.
     """
     targets = gt.frames.reshape(gt.num_frames, -1)
-    if cfg.loss_choice is LossKind.PC:
-        if weights is None:
-            weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
-        _check_weights(weights, gt.num_frames)
-        w = weights.weights
-    else:
-        w = np.ones(gt.num_frames)
+    w = weights.weights if cfg.loss_choice is LossKind.PC else np.ones(gt.num_frames)
     mu = cfg.vel_coefficient
     basis_steps = np.diff(basis, axis=0)
     target_steps = np.diff(targets, axis=0)
@@ -178,18 +152,17 @@ def _evaluate_form(
 
 
 def objective_and_gradient(
-    gt: MeshSequence,
-    coef: np.ndarray,
-    cfg: TrainConfig,
-    weights: CoarticulationWeights | None = None,
+    gt: MeshSequence, coef: np.ndarray, cfg: TrainConfig
 ) -> tuple[float, np.ndarray]:
     """Training objective at `coef` and its gradient w.r.t. `coef`.
 
     The objective is the chosen frame loss plus vel_coefficient times the
     velocity loss of the basis prediction, evaluated through its exact
-    quadratic form; the gradient is 2 (G C - R).
+    quadratic form; the gradient is 2 (G C - R). The weights are built from
+    cfg.sigma as `fit` builds them.
     """
     coef = np.asarray(coef, dtype=np.float64)
+    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
     form = _quadratic_form(gt, cfg, temporal_basis(gt.num_frames, len(coef)), weights)
     total, residual = _evaluate_form(*form, coef.reshape(len(coef), -1))
     return total, (2.0 * residual).reshape(coef.shape)
@@ -200,17 +173,19 @@ def fit(
     cfg: TrainConfig,
     annotation: SegmentAnnotation | None = None,
     lips: VertexRegionMask | None = None,
-) -> tuple[ToyModel, TrainReport]:
+) -> TrainReport:
     """Fit the toy model to `gt` by plain gradient descent.
 
     Deterministic given cfg.seed, which only drives the small uniform noise
-    used to initialize the coefficients. Coarticulation weights for the PC
-    loss are computed once from `gt`, and the objective's quadratic form
-    once from them. The cfg.steps gradient-descent iterates are evaluated in
-    closed form from one eigendecomposition of that form, without stepping.
+    used to initialize the coefficients. Coarticulation weights are computed
+    once from `gt` with the window radius cfg.sigma, for both losses: the PC
+    objective trains on them and final_pc scores on them. The objective's
+    quadratic form is computed once from them, and the cfg.steps
+    gradient-descent iterates are evaluated in closed form from one
+    eigendecomposition of that form, without stepping.
     Raises DivergenceError at the first step whose objective is non-finite.
-    The report carries the fitted prediction its losses and metrics were
-    computed on, expanded from the basis the fit built.
+    The report carries the fitted coefficients and the prediction its losses
+    and metrics were computed on, expanded from the basis the fit built.
     When `annotation` is given the report also carries lip error split by
     transition vs hold frames.
     """
@@ -224,9 +199,7 @@ def fit(
         )
 
     basis = temporal_basis(num_frames, num_basis)
-    weights = None
-    if cfg.loss_choice is LossKind.PC:
-        weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
     form = _quadratic_form(gt, cfg, basis, weights)
 
     rng = np.random.default_rng(cfg.seed)
@@ -260,7 +233,6 @@ def fit(
                               f"(learning_rate*lambda_max = {rate[-1]:.3g}; stable below 1)")
     flat += modes @ (moved[:, None] * shift)
 
-    model = ToyModel(coef, gt.fps)
     pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), gt.fps)
 
     lips_mask = lips if lips is not None else VertexRegionMask.full(num_vertices)
@@ -279,17 +251,17 @@ def fit(
         if (~tmask).any():
             lve_hold = float(per_frame[~tmask].mean())
 
-    report = TrainReport(
+    return TrainReport(
         loss_curve=curve,
         final_rec=loss_rec(gt, pred).total,
         final_vel=loss_vel(gt, pred).total,
         final_pc=loss_pc(gt, pred, weights).total,
         metrics=report_metrics,
+        coef=coef,
         prediction=pred,
         lve_transition=lve_transition,
         lve_hold=lve_hold,
     )
-    return model, report
 
 
 # -- window-size ablation -------------------------------------------------------
@@ -335,7 +307,7 @@ def ablate_window(
     """
 
     def run(run_cfg: TrainConfig, sigma: int | None) -> AblationRow:
-        _, report = fit(gt, run_cfg, annotation, lips)
+        report = fit(gt, run_cfg, annotation, lips)
         return AblationRow(
             sigma=sigma,
             fve=report.metrics.fve,

@@ -20,7 +20,6 @@ import pytest
 from visemekit import (
     LossKind,
     MeshSequence,
-    ToyModel,
     TrainConfig,
     VertexRegionMask,
     WindowSpec,
@@ -34,7 +33,6 @@ from visemekit import (
     loss_pc,
     loss_rec,
     make_corpus,
-    predict,
     read_msq,
     temporal_basis,
     write_annotation,
@@ -178,7 +176,7 @@ def paired_fit(track, annotation, lips, kind, seed):
         seed=seed,
         num_basis=30,
     )
-    _, report = fit(track, cfg, annotation=annotation, lips=lips)
+    report = fit(track, cfg, annotation=annotation, lips=lips)
     return report.lve_transition
 
 
@@ -208,12 +206,13 @@ def test_converged_weighted_solution_helps_transitions():
         track, annotation = gen_viseme_track(demo_spec(seed=seed))
         transition = annotation.transition_mask()
         basis = temporal_basis(track.num_frames, 30)
+        weights = coarticulation_weights(track, WindowSpec(2))
         lve = {}
         for kind in (LossKind.PC, LossKind.REC):
             cfg = TrainConfig(loss_choice=kind, sigma=2, num_basis=30)
-            gram, rhs, _ = toytrain._quadratic_form(track, cfg, basis, None)
+            gram, rhs, _ = toytrain._quadratic_form(track, cfg, basis, weights)
             coef = np.linalg.solve(gram, rhs).reshape(30, track.num_vertices, 3)
-            pred = predict(ToyModel(coef, track.fps), track.num_frames)
+            pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), track.fps)
             lve[kind] = evaluate(track, pred, lips).per_frame_lve[transition].mean()
         assert lve[LossKind.PC] < lve[LossKind.REC], f"seed {seed}: {lve}"
 
@@ -280,14 +279,13 @@ def test_criterion_9_determinism_and_round_trips(announce, tmp_path):
         # the same seed trains to the same report, down to the CSV bytes
         gt = seq(rng.normal(0.0, 1.0, (20, 4, 3)))
         cfg = TrainConfig(steps=100, num_basis=5, learning_rate=0.05, seed=7)
-        model_a, report_a = fit(gt, cfg)
-        model_b, report_b = fit(gt, cfg)
-        assert np.array_equal(model_a.coef, model_b.coef)
+        report_a = fit(gt, cfg)
+        report_b = fit(gt, cfg)
+        assert np.array_equal(report_a.coef, report_b.coef)
         assert np.array_equal(report_a.loss_curve, report_b.loss_curve)
         assert (report_a.final_rec, report_a.final_vel, report_a.final_pc) == (
             report_b.final_rec, report_b.final_vel, report_b.final_pc,
         )
         assert format_csv_report(report_a) == format_csv_report(report_b)
-        pred_a = predict(model_a, gt.num_frames)
-        pred_b = predict(model_b, gt.num_frames)
+        pred_a, pred_b = report_a.prediction, report_b.prediction
         assert np.array_equal(np.asarray(pred_a.frames), np.asarray(pred_b.frames))

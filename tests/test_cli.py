@@ -12,10 +12,13 @@ from visemekit import (
     MeshSequence,
     SegmentAnnotation,
     VertexRegionMask,
+    WindowSpec,
+    coarticulation_weights,
     demo_spec,
     evaluate,
     format_csv_report,
     gen_viseme_track,
+    loss_pc,
     parse_train_config,
     read_msq,
     write_annotation,
@@ -350,7 +353,7 @@ class TestTrain:
         write_msq(gen_viseme_track(spec)[0], gt)
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"loss = {loss}\nlearning_rate = 0.2\nsteps = 200\nnum_basis = 12\n")
-        calls = {"temporal_basis": 0, "predict": 0}
+        calls = {"temporal_basis": 0}
         for name in calls:
             def counted(*args, _real=getattr(toytrain, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -359,12 +362,14 @@ class TestTrain:
             monkeypatch.setattr(toytrain, name, counted)
         out = tmp_path / "run"
         assert main(["train", "--gt", str(gt), "--out", str(out), "--config", str(cfg)]) == 0
-        assert calls == {"temporal_basis": 1, "predict": 0}
+        assert calls == {"temporal_basis": 1}
         monkeypatch.undo()
 
         seq = read_msq(gt)
-        model, _ = toytrain.fit(seq, parse_train_config(cfg.read_text()))
-        write_msq(toytrain.predict(model, seq.num_frames), tmp_path / "want.msq")
+        report = toytrain.fit(seq, parse_train_config(cfg.read_text()))
+        basis = toytrain.temporal_basis(seq.num_frames, 12)
+        want = MeshSequence(np.tensordot(basis, report.coef, axes=(1, 0)), seq.fps)
+        write_msq(want, tmp_path / "want.msq")
         assert (out / "pred.msq").read_bytes() == (tmp_path / "want.msq").read_bytes()
 
     def test_default_config(self, tmp_path, capsys):
@@ -373,6 +378,21 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--gt", gt, "--out", str(out)]) == 0
         assert (out / "report.csv").exists()
+
+    def test_rec_final_pc_uses_config_sigma(self, tmp_path, capsys):
+        # a REC run scores final_pc under its own window, not the default sigma=2
+        gt = tmp_path / "gt.msq"
+        spec = demo_spec(seed=8, num_vertices=8, num_frames=48, num_lip_vertices=4)
+        write_msq(gen_viseme_track(spec)[0], gt)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("loss = rec\nsigma = 4\nlearning_rate = 0.2\nsteps = 200\nnum_basis = 12\n")
+        out = tmp_path / "run"
+        assert main(["train", "--gt", str(gt), "--out", str(out), "--config", str(cfg)]) == 0
+        seq = read_msq(gt)
+        pred = read_msq(out / "pred.msq")
+        want = loss_pc(seq, pred, coarticulation_weights(seq, WindowSpec(4))).total
+        assert f", pc {want:.6g}," in capsys.readouterr().out
+        assert f"final_pc,{want:.9g}\n" in (out / "report.csv").read_text()
 
 
     def test_non_finite_learning_rate(self, tmp_path, capsys):

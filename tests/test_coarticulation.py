@@ -297,13 +297,8 @@ class TestLosses:
         rng = np.random.default_rng(4)
         gt = seq(np.tile(rng.normal(0, 1, (1, 3, 3)), (5, 1, 1)))
         pred = rand_seq(rng, 5, 3)
-        assert loss_pc(gt, pred).total == pytest.approx(loss_rec(gt, pred).total / 5, abs=1e-9)
-
-    def test_pc_default_weights_are_sigma2_clamp(self):
-        rng = np.random.default_rng(5)
-        gt, pred = rand_seq(rng, 9, 2), rand_seq(rng, 9, 2)
-        explicit = loss_pc(gt, pred, coarticulation_weights(gt, WindowSpec(2)))
-        assert loss_pc(gt, pred).total == explicit.total
+        total = loss_pc(gt, pred, coarticulation_weights(gt)).total
+        assert total == pytest.approx(loss_rec(gt, pred).total / 5, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -312,7 +307,7 @@ class TestLosses:
         num_frames = int(rng.integers(2, 12))
         gt, pred = rand_seq(rng, num_frames, 2), rand_seq(rng, num_frames, 2)
         per_frame = loss_rec(gt, pred).per_frame
-        total = loss_pc(gt, pred).total
+        total = loss_pc(gt, pred, coarticulation_weights(gt)).total
         assert per_frame.min() - 1e-12 <= total <= per_frame.max() + 1e-12
 
     def test_pc_matches_oracle(self):

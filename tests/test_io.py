@@ -397,7 +397,7 @@ class TestCsvReports:
     def test_train_report_layout(self):
         rng = np.random.default_rng(14)
         gt = seq(rng.normal(0.0, 1.0, (10, 2, 3)))
-        _, report = fit(gt, TrainConfig(steps=4, num_basis=3))
+        report = fit(gt, TrainConfig(steps=4, num_basis=3))
         lines = format_csv_report(report).splitlines()
         assert lines[0] == "key,value"
         keys = [row.split(",")[0] for row in lines[1:]]
@@ -412,7 +412,7 @@ class TestCsvReports:
         gt = seq(rng.normal(0.0, 1.0, (8, 2, 3)))
         labels = ("a", "transition", "b", "b", "b", "b", "b", "b")
         annotation = SegmentAnnotation(labels, np.zeros(8, dtype=bool))
-        _, report = fit(gt, TrainConfig(steps=4, num_basis=2), annotation=annotation)
+        report = fit(gt, TrainConfig(steps=4, num_basis=2), annotation=annotation)
         keys = [row.split(",")[0] for row in format_csv_report(report).splitlines()[1:]]
         assert keys[-2:] == ["lve_transition", "lve_hold"]
 
@@ -422,7 +422,7 @@ class TestCsvReports:
 
     def test_write_matches_format(self, tmp_path):
         gt = seq(np.zeros((2, 1, 3)))
-        report = loss_pc(gt, gt)
+        report = loss_pc(gt, gt, coarticulation_weights(gt))
         path = tmp_path / "r.csv"
         write_csv_report(report, path)
         assert path.read_text() == format_csv_report(report)

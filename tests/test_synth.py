@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -21,6 +25,8 @@ from visemekit import (
     spec_hash,
 )
 from visemekit.synth import TRANSITION_LABEL, _validate_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def two_shape_spec(**overrides):
@@ -85,6 +91,38 @@ class TestGenVisemeTrack:
         seq, annotation = gen_viseme_track(spec)
         energy = coarticulation_weights(seq, WindowSpec()).raw_energy
         assert np.array_equal(annotation.high_motion, energy > np.median(energy))
+
+    @pytest.mark.parametrize("num_frames", [2, 121, 122])
+    def test_high_motion_median_at_odd_and_even_lengths(self, num_frames):
+        # held frames tie at energy 0, where > must still split as np.median does
+        spec = demo_spec(seed=9, num_frames=num_frames, jitter_amplitude=0.0)
+        seq, annotation = gen_viseme_track(spec)
+        energy = coarticulation_weights(seq).raw_energy
+        assert np.array_equal(annotation.high_motion, energy > np.median(energy))
+
+    def test_high_motion_of_one_frame(self):
+        seq, annotation = gen_viseme_track(two_shape_spec(viseme_targets=((0.0, "a"),)))
+        assert seq.num_frames == 1
+        assert annotation.high_motion.tolist() == [False]  # 0 > np.median([0])
+
+    def test_gen_does_not_import_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma on its first call, a cost every cold gen paid
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "num_vertices = 1\nfps = 30\nshape.a = 0 0 0\nshape.b = 1 0 0\n"
+            "target = 0.0 a\ntarget = 1.0 b\n"
+        )
+        code = (
+            "import sys\n"
+            "from visemekit.cli import main\n"
+            f"assert main(['gen', '--spec', {str(spec)!r}, '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              timeout=120, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_transition_energy_above_hold_energy(self):
         spec = demo_spec(seed=5, jitter_amplitude=0.0)
@@ -382,6 +420,14 @@ class TestSpecHash:
 
     def test_sensitive_to_seed(self):
         assert spec_hash(demo_spec(seed=0)) != spec_hash(demo_spec(seed=1))
+
+    def test_demo_specs_are_pinned(self):
+        assert [spec_hash(demo_spec(seed)) for seed in range(4)] == [
+            "25ebd9a05fbc328ae3f61078b07e582dd02055987f01370f5e8924629babeea5",
+            "9ff422c00df2395372bda8da3efe51f1ea08cca2ff013b3bbae20e288bef29c9",
+            "34f841e6fa903227f7c183adda5d3ceca1ff90262fbe5f55aedc3257eaf028ac",
+            "450298727fb99a11c870a68a26118459f90ab00001f3b28cd023ec7388c5d18d",
+        ]
 
 
 class TestDemoSpec:

@@ -11,7 +11,6 @@ from visemekit import (
     LossKind,
     MeshSequence,
     SegmentAnnotation,
-    ToyModel,
     TrainConfig,
     VertexRegionMask,
     WindowSpec,
@@ -25,7 +24,6 @@ from visemekit import (
     loss_rec,
     loss_vel,
     objective_and_gradient,
-    predict,
     temporal_basis,
 )
 from visemekit.coarticulation import central_difference, relative_gradient_error
@@ -53,14 +51,14 @@ class TestTemporalBasis:
         target = rng.normal(0.0, 1.0, (8, 2, 3))
         basis = temporal_basis(8, 8)
         coef, *_ = np.linalg.lstsq(basis, target.reshape(8, -1), rcond=None)
-        model = ToyModel(coef.reshape(8, 2, 3))
-        assert np.asarray(predict(model, 8).frames) == pytest.approx(target, abs=1e-9)
+        frames = np.tensordot(basis, coef.reshape(8, 2, 3), axes=(1, 0))
+        assert frames == pytest.approx(target, abs=1e-9)
 
     def test_single_bump_prediction_is_the_bump(self):
         basis = temporal_basis(9, 1)
         coef = np.zeros((1, 1, 3))
         coef[0, 0, 0] = 1.0
-        frames = np.asarray(predict(ToyModel(coef), 9).frames)
+        frames = np.tensordot(basis, coef, axes=(1, 0))
         assert frames[:, 0, 0] == pytest.approx(basis[:, 0])
         assert np.all(frames[:, 0, 1:] == 0.0)
 
@@ -73,11 +71,6 @@ class TestTemporalBasis:
             temporal_basis(5, 0)
         with pytest.raises(ConstraintError):
             temporal_basis(0, 1)
-
-
-def test_predict_zero_coefficients():
-    frames = np.asarray(predict(ToyModel(np.zeros((3, 2, 3))), 10).frames)
-    assert np.all(frames == 0.0)
 
 
 class TestObjectiveGradient:
@@ -151,7 +144,7 @@ class TestQuadraticForm:
             cfg = TrainConfig(
                 loss_choice=kind, vel_coefficient=mu, steps=1, seed=seed, num_basis=num_basis
             )
-            _, report = fit(gt, cfg)
+            report = fit(gt, cfg)
             init = np.random.default_rng(seed).uniform(-0.01, 0.01, (num_basis, num_vertices, 3))
             want, _ = direct_objective(gt, init, cfg, temporal_basis(num_frames, num_basis))
             assert report.loss_curve[0] == pytest.approx(want, rel=1e-12)
@@ -166,7 +159,7 @@ class TestQuadraticForm:
         gram, rhs, _ = toytrain._quadratic_form(gt, cfg, basis, weights)
         best = np.linalg.solve(gram, rhs).reshape(4, 2, 3)
         minimum, _ = direct_objective(gt, best, cfg, basis)
-        _, report = fit(gt, cfg)
+        report = fit(gt, cfg)
         curve = report.loss_curve
         assert np.all(curve >= minimum * (1.0 - 1e-12))
         assert np.all(np.diff(curve) <= 1e-12)
@@ -182,7 +175,7 @@ class TestFit:
         cfg = TrainConfig(
             loss_choice=LossKind.REC, learning_rate=0.05, steps=4000, num_basis=4
         )
-        _, report = fit(gt, cfg)
+        report = fit(gt, cfg)
         assert report.final_rec <= 1e-6
         # closed-form check: the optimum really is (near) zero residual
         lsq = np.linalg.lstsq(basis, np.asarray(gt.frames).reshape(16, -1), rcond=None)
@@ -192,16 +185,16 @@ class TestFit:
         rng = np.random.default_rng(3)
         gt = seq(rng.normal(0.0, 1.0, (8, 2, 3)))
         cfg = TrainConfig(steps=0, num_basis=3, seed=17)
-        model, report = fit(gt, cfg)
+        report = fit(gt, cfg)
         assert len(report.loss_curve) == 0
         init = np.random.default_rng(17).uniform(-0.01, 0.01, size=(3, 2, 3))
-        assert np.array_equal(model.coef, init)
+        assert np.array_equal(report.coef, init)
 
     def test_loss_curve_non_increasing_for_small_lr(self):
         rng = np.random.default_rng(4)
         gt = seq(rng.normal(0.0, 1.0, (12, 2, 3)))
         cfg = TrainConfig(loss_choice=LossKind.REC, learning_rate=1e-3, steps=300, num_basis=4)
-        _, report = fit(gt, cfg)
+        report = fit(gt, cfg)
         diffs = np.diff(report.loss_curve)
         assert np.all(diffs <= 1e-12)
 
@@ -209,9 +202,9 @@ class TestFit:
         rng = np.random.default_rng(5)
         gt = seq(rng.normal(0.0, 1.0, (10, 3, 3)))
         cfg = TrainConfig(steps=50, num_basis=3, seed=9)
-        model_a, report_a = fit(gt, cfg)
-        model_b, report_b = fit(gt, cfg)
-        assert np.array_equal(model_a.coef, model_b.coef)
+        report_a = fit(gt, cfg)
+        report_b = fit(gt, cfg)
+        assert np.array_equal(report_a.coef, report_b.coef)
         assert np.array_equal(report_a.loss_curve, report_b.loss_curve)
         assert report_a.metrics.lve == report_b.metrics.lve
 
@@ -235,8 +228,8 @@ class TestFit:
     def test_default_capacity_is_quarter(self):
         rng = np.random.default_rng(7)
         gt = seq(rng.normal(0.0, 1.0, (16, 1, 3)))
-        model, _ = fit(gt, TrainConfig(steps=1))
-        assert model.num_basis == 4
+        report = fit(gt, TrainConfig(steps=1))
+        assert len(report.coef) == 4
 
     def test_annotation_split(self):
         rng = np.random.default_rng(8)
@@ -244,7 +237,7 @@ class TestFit:
         labels = ("a", "a", "transition", "transition", "b", "b", "b", "b")
         annotation = SegmentAnnotation(labels, np.zeros(8, dtype=bool))
         cfg = TrainConfig(steps=5, num_basis=2)
-        _, report = fit(gt, cfg, annotation=annotation, lips=VertexRegionMask(np.array([0])))
+        report = fit(gt, cfg, annotation=annotation, lips=VertexRegionMask(np.array([0])))
         assert report.lve_transition is not None and report.lve_hold is not None
         per_frame = report.metrics.per_frame_lve
         assert report.lve_transition == pytest.approx(per_frame[2:4].mean())
@@ -265,30 +258,43 @@ class TestFit:
         spec = demo_spec(seed=4, num_vertices=8, num_frames=40, num_lip_vertices=4)
         gt, _ = gen_viseme_track(spec)
         cfg = TrainConfig(loss_choice=kind, learning_rate=0.2, steps=300, seed=2, num_basis=10)
-        model, report = fit(gt, cfg)
-        want = predict(model, gt.num_frames)
+        report = fit(gt, cfg)
+        want = seq(np.tensordot(temporal_basis(gt.num_frames, 10), report.coef, axes=(1, 0)))
         assert report.prediction.frames.tobytes() == want.frames.tobytes()
         assert report.prediction.fps == want.fps == gt.fps
         assert report.final_rec == loss_rec(gt, want).total
+
+    @pytest.mark.parametrize("sigma", [0, 4])
+    def test_rec_final_pc_is_scored_under_config_sigma(self, sigma):
+        spec = demo_spec(seed=4, num_vertices=8, num_frames=40, num_lip_vertices=4)
+        gt, _ = gen_viseme_track(spec)
+        cfg = TrainConfig(loss_choice=LossKind.REC, sigma=sigma, learning_rate=0.2, steps=300,
+                          seed=2, num_basis=10)
+        report = fit(gt, cfg)
+        weights = coarticulation_weights(gt, WindowSpec(sigma))
+        assert report.final_pc == loss_pc(gt, report.prediction, weights).total
+        default = loss_pc(gt, report.prediction, coarticulation_weights(gt)).total
+        assert report.final_pc != default
 
     @pytest.mark.parametrize("kind", [LossKind.REC, LossKind.PC])
     def test_curve_blocks_match_one_block(self, kind, monkeypatch):
         spec = demo_spec(seed=4, num_vertices=8, num_frames=40, num_lip_vertices=4)
         gt, _ = gen_viseme_track(spec)
         cfg = TrainConfig(loss_choice=kind, learning_rate=0.2, steps=300, seed=2, num_basis=10)
-        whole_model, whole = fit(gt, cfg)
+        whole = fit(gt, cfg)
         # a tiny budget splits the 299 curve rows into blocks, down to one row
         for budget in (1, 25, 70):
             monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", budget)
-            model, report = fit(gt, cfg)
+            report = fit(gt, cfg)
             assert report.loss_curve.tobytes() == whole.loss_curve.tobytes()
-            assert model.coef.tobytes() == whole_model.coef.tobytes()
+            assert report.coef.tobytes() == whole.coef.tobytes()
             assert report.metrics.ldtw == whole.metrics.ldtw
 
 
 def quadratic_form(gt, cfg):
     basis = temporal_basis(gt.num_frames, cfg.num_basis)
-    return toytrain._quadratic_form(gt, cfg, basis, None)
+    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+    return toytrain._quadratic_form(gt, cfg, basis, weights)
 
 
 def lambda_max(gt, cfg):
@@ -305,8 +311,8 @@ def fit_and_loop(gt, cfg):
     want_curve, want_coef = oracles.fit_loop(
         *quadratic_form(gt, cfg), coef0, cfg.learning_rate, cfg.steps
     )
-    model, report = fit(gt, cfg)
-    return report.loss_curve, want_curve, model.coef.reshape(num_basis, -1), want_coef
+    report = fit(gt, cfg)
+    return report.loss_curve, want_curve, report.coef.reshape(num_basis, -1), want_coef
 
 
 def assert_matches_loop(gt, cfg):
