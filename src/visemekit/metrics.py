@@ -56,36 +56,90 @@ class DtwResult:
 
 # -- dynamic time warping -----------------------------------------------------
 
-def _euclidean_cost(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every raveled frame of `rows` and of `b`.
+def _euclidean_cost(a: np.ndarray, b: np.ndarray) -> Callable[[slice], np.ndarray]:
+    """Euclidean distance between every raveled frame of `a[rows]` and of `b`.
 
     Each squared length is the dot product of a difference with itself, the
     same reduction np.linalg.norm applies to one raveled difference.
     """
-    delta = rows.reshape(len(rows), 1, 1, -1) - b.reshape(1, len(b), 1, -1)
-    return np.sqrt(np.matmul(delta, delta.swapaxes(2, 3)))[:, :, 0, 0]
+
+    def block(rows: slice) -> np.ndarray:
+        frames = a[rows]
+        delta = frames.reshape(len(frames), 1, 1, -1) - b.reshape(1, len(b), 1, -1)
+        return np.sqrt(np.matmul(delta, delta.swapaxes(2, 3)))[:, :, 0, 0]
+
+    return block
 
 
-def _mean_vertex_distance(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... in the order np.add.reduce sums a contiguous axis.
+
+    numpy adds fewer than 8 terms in sequence; up to 128 in eight running
+    sums (term k goes to sum k % 8), combined as ((0+1)+(2+3))+((4+5)+(6+7))
+    before the last n % 8 terms are added in sequence; and more as the sum of
+    two halves split at a multiple of 8. numpy then adds that sum to 0.0,
+    which changes no sum of the non-negative distances summed here. The
+    running sums are kept in `terms`, which is overwritten.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    if n <= 128:
+        sums = terms[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            sums += terms[i : i + 8]
+        total, s1, s2, s3, s4, s5, s6, s7 = sums
+        total += s1
+        s2 += s3
+        s4 += s5
+        s6 += s7
+        total += s2
+        s4 += s6
+        total += s4
+        for term in terms[stop:]:
+            total += term
+        return total
+    half = n // 2 - n // 2 % 8
+    total = _pairwise_sum(terms[:half])
+    total += _pairwise_sum(terms[half:])
+    return total
+
+
+def _mean_vertex_distance(a: np.ndarray, b: np.ndarray) -> Callable[[slice], np.ndarray]:
     """Mean per-vertex Euclidean distance between (L, 3) frames, pairwise.
 
-    The squared components are summed as (x + y) + z, the order numpy's norm
-    over an axis of length 3 uses. With C-contiguous (rows, L, 3) and
-    (m, L, 3) inputs, as dtw passes them, the mean sums the L axis in the
-    same pairwise order as for one frame, so each entry equals
+    `b` is laid out once as contiguous coordinate planes (3, L, m), and each
+    block lays out its rows of `a` the same way, so the differences broadcast
+    along all of b's frames. (Laying out all of `a` once is no faster and
+    holds another copy of it.) The squared components are summed as
+    (x + y) + z, the order numpy's norm over an axis of length 3 uses, and
+    the L distances by _pairwise_sum, so each entry equals
     np.linalg.norm(x - y, axis=1).mean() bit for bit.
     """
-    delta = np.moveaxis(rows, 2, 0)[:, :, None] - np.moveaxis(b, 2, 0)[:, None]
-    delta *= delta
-    sq = np.add(delta[0], delta[1], out=delta[0])
-    sq += delta[2]
-    return np.sqrt(sq, out=sq).mean(axis=2)
+    b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))[:, :, None, :]
+    count = a.shape[1]
+
+    def block(rows: slice) -> np.ndarray:
+        a_planes = np.ascontiguousarray(a[rows].transpose(2, 1, 0))
+        delta = a_planes[:, :, :, None] - b_planes
+        delta *= delta
+        sq = np.add(delta[0], delta[1], out=delta[0])
+        sq += delta[2]
+        mean = _pairwise_sum(np.sqrt(sq, out=sq))
+        mean /= count
+        return mean
+
+    return block
 
 
 def dtw(
     a: Sequence[np.ndarray],
     b: Sequence[np.ndarray],
-    cost: Callable[[np.ndarray, np.ndarray], np.ndarray] = _euclidean_cost,
+    cost: Callable[[np.ndarray, np.ndarray], Callable[[slice], np.ndarray]] = _euclidean_cost,
 ) -> DtwResult:
     """Dynamic time warping between two sequences of frame features.
 
@@ -95,15 +149,16 @@ def dtw(
     then vertical (advance a), then horizontal (advance b). No band
     constraint; the full table is always filled.
 
-    `cost(rows, b)` maps a block of consecutive frames of `a` and all of `b`
-    to their (len(rows), len(b)) local-cost matrix; the default is the
-    Euclidean distance of the raveled frames. Both inputs are converted to
-    C-contiguous float64 arrays, so every block a cost receives is
-    C-contiguous whatever the caller's layout, and a reduction over a frame's
-    axes runs in the order it would on that one frame. The local matrix is
-    built in row blocks so the broadcast differences stay small on long
-    sequences. The blocks are written into one padded (n+1, m+1) table, which
-    is accumulated in place and backtracked: DTW holds no second table.
+    `cost` is a factory: `cost(a, b)` is called once with both whole inputs,
+    converted to C-contiguous float64 arrays whatever the caller's layout,
+    and returns `block(rows)`, which maps a slice of consecutive frames of
+    `a` to their (len(rows), len(b)) local-cost matrix against all of `b`.
+    The factory can lay the inputs out once for all blocks, as LDTW lays out
+    b's coordinate planes. The default is the Euclidean distance of the
+    raveled frames. dtw calls `block` on row blocks of the shared budget, so
+    the broadcast differences stay small on long sequences. The blocks are
+    written into one padded (n+1, m+1) table, which is accumulated in place
+    and backtracked: DTW holds no second table.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -124,15 +179,17 @@ def dtw(
     width = m + 1
     table = np.full((n + 1, width), np.inf)
     table[0, 0] = 0.0
+    block = cost(a, b)
     for rows in _row_blocks(0, n, m * b[0].size):
-        table[rows.start + 1 : rows.stop + 1, 1:] = cost(a[rows], b)
+        table[rows.start + 1 : rows.stop + 1, 1:] = block(rows)
     flat = table.reshape(-1)
+    buffer = np.empty(min(n, m))  # one anti-diagonal's predecessor minima
     for d in range(n + m - 1):
         i0, i1 = max(0, d - m + 1), min(n - 1, d)
         start = (i0 + 1) * width + d - i0 + 1
         stop = start + (i1 - i0) * m + 1
         prior = np.minimum(flat[start - width - 1 : stop - width - 1 : m],
-                           flat[start - width : stop - width : m])
+                           flat[start - width : stop - width : m], out=buffer[: i1 - i0 + 1])
         np.minimum(prior, flat[start - 1 : stop - 1 : m], out=prior)
         flat[start:stop:m] += prior
     acc = table[1:, 1:]
@@ -160,7 +217,8 @@ def dtw(
 
 def _lip_frames(seq: MeshSequence, lips: VertexRegionMask) -> np.ndarray:
     lips.validate_for(seq.num_vertices)
-    return seq.frames[:, lips.indices, :]
+    # C-contiguous, unlike seq.frames[:, lips.indices], so dtw takes it as is
+    return np.take(seq.frames, lips.indices, axis=1)
 
 
 def ldtw(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:

@@ -220,10 +220,15 @@ def fit(
     log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as lam -> 0
     curve = np.full(cfg.steps, total)  # entry 0 is f(0); the blocks add the rest from t = 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_weight = np.log(weight)
         for rows in _row_blocks(1, cfg.steps, num_basis):
             x = np.arange(rows.start, rows.stop)[:, None] * log_rho2
+            terms = weight * np.expm1(x)
             # a growing term overflows when w rho^2t does, not when rho^2t does
-            terms = np.where(x > 1.0, np.exp(x + np.log(weight)) - weight, weight * np.expm1(x))
+            grows = x > 1.0
+            if grows.any():
+                _, mode = np.nonzero(grows)
+                terms[grows] = np.exp(x[grows] + log_weight[mode]) - weight[mode]
             curve[rows] += terms.sum(axis=1)
         rho = 1.0 - 2.0 * rate
         moved = np.where(rho > 0, -np.expm1(cfg.steps * np.log1p(-2.0 * rate)), 1.0 - rho**cfg.steps)

@@ -15,6 +15,7 @@ from visemekit import (
     evaluate,
     ldtw,
 )
+from visemekit.synth import demo_spec, gen_viseme_track
 
 
 def seq(frames, fps=30.0):
@@ -219,18 +220,31 @@ class TestDtwKernel:
         assert results[2] == results[0]
 
     def test_custom_cost_receives_contiguous_float64_blocks(self, monkeypatch):
+        # the factory is called once with the whole converted inputs; under a
+        # tiny budget its block function gets consecutive slices covering a
         monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", 40)
-        seen = []
+        calls, slices = [], []
 
-        def cost(rows, b):
-            seen.append((rows.dtype, rows.flags.c_contiguous, b.dtype, b.flags.c_contiguous))
-            return metrics._mean_vertex_distance(rows, b)
+        def cost(a, b):
+            calls.append((a.shape, a.dtype, a.flags.c_contiguous,
+                          b.shape, b.dtype, b.flags.c_contiguous))
+            block = metrics._mean_vertex_distance(a, b)
+
+            def logged(rows):
+                slices.append((rows.start, rows.stop))
+                return block(rows)
+
+            return logged
 
         frames = np.arange(60 * 4 * 3, dtype=np.int32).reshape(60, 4, 3)
         dtw(frames[::2, [0, 3]], np.asfortranarray(frames[:7, 1:3]), cost)
-        assert len(seen) > 1
         float64 = np.dtype(np.float64)
-        assert set(seen) == {(float64, True, float64, True)}
+        assert calls == [((30, 2, 3), float64, True, (7, 2, 3), float64, True)]
+        assert len(slices) > 1
+        starts, stops = zip(*slices)
+        assert starts[0] == 0 and stops[-1] == 30
+        assert starts[1:] == stops[:-1]
+        assert all(start < stop for start, stop in slices)
 
     def test_peak_memory_is_one_table(self):
         n = m = 2000
@@ -257,17 +271,61 @@ class TestDtwKernel:
             assert blocked == whole
 
     def test_block_cost_contract(self):
-        # a custom cost receives a row block of a and all of b
+        # cost(a, b) gets all of a and b once and returns block(rows), the
+        # local costs of a slice of a's frames against all of b
         seen = []
 
-        def cost(rows, b):
-            seen.append((rows.shape, b.shape))
-            return np.abs(rows[:, None] - b[None, :])
+        def cost(a, b):
+            seen.append((a.shape, b.shape))
+
+            def block(rows):
+                seen.append(rows)
+                return np.abs(a[rows, None] - b[None, :])
+
+            return block
 
         result = dtw(np.arange(4.0), np.arange(3.0), cost)
-        assert seen == [((4,), (3,))]
+        assert seen == [((4,), (3,)), slice(0, 4)]
         assert result.distance == 1.0
         assert result.path == ((0, 0), (1, 1), (2, 2), (3, 2))
+
+    @pytest.mark.parametrize("num_lips", [1, 7, 8, 9, 15, 16, 17, 24, 128, 129, 136, 257])
+    def test_ldtw_equals_loop_oracle_at_every_pairwise_sum_branch(self, num_lips):
+        # below 8 lips the distances are summed in sequence, up to 128 in
+        # eight running sums, and above in halves split at a multiple of 8
+        rng = np.random.default_rng(num_lips)
+        gt, pred = rand_seq(rng, 6, num_lips), rand_seq(rng, 5, num_lips)
+        a, b = gt.frames, pred.frames
+        distance, path = oracles.dtw_loop(a, b, mean_vertex_norm)
+        assert ldtw(gt, pred, VertexRegionMask.full(num_lips)) == distance / len(path)
+        # every local cost, not only those on the path
+        want = [[mean_vertex_norm(x, y) for y in b] for x in a]
+        assert metrics._mean_vertex_distance(a, b)(slice(0, len(a))).tolist() == want
+
+    def test_ldtw_equals_loop_oracle_at_benchmark_shape(self):
+        # 120 x 120 frames, 20 scattered lips of 60 vertices, ground truth
+        # against a smooth noisy copy of itself
+        gt, _ = gen_viseme_track(demo_spec(11))
+        rng = np.random.default_rng(26)
+        pred = seq(gt.frames + np.cumsum(rng.normal(0.0, 0.01, gt.frames.shape), axis=0))
+        lips = VertexRegionMask(np.sort(rng.choice(60, 20, replace=False)))
+        a, b = gt.frames[:, lips.indices], pred.frames[:, lips.indices]
+        assert a.shape == b.shape == (120, 20, 3)
+        distance, path = oracles.dtw_loop(a, b, mean_vertex_norm)
+        assert ldtw(gt, pred, lips) == distance / len(path)
+
+    def test_ldtw_peak_memory_is_one_table(self):
+        n = m = 1000
+        rng = np.random.default_rng(27)
+        gt, pred = rand_seq(rng, n, 60), rand_seq(rng, m, 60)
+        lips = VertexRegionMask(np.arange(0, 60, 3))
+        tracemalloc.start()
+        try:
+            ldtw(gt, pred, lips)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (n + 1) * (m + 1) * 8
 
 
 class TestLdtw:

@@ -290,6 +290,39 @@ class TestFit:
             assert report.coef.tobytes() == whole.coef.tobytes()
             assert report.metrics.ldtw == whole.metrics.ldtw
 
+    # lr * lambda_max is 0.02 at 0.2 and 2.0 at 18.0, where the loss grows to
+    # ~1e57 in 60 steps and stays finite
+    @pytest.mark.parametrize("learning_rate, grows", [(0.2, False), (18.0, True)])
+    def test_curve_matches_where_formula(self, learning_rate, grows):
+        # fit computes the overflow-safe branch only where a term grows
+        spec = demo_spec(seed=5, num_vertices=8, num_frames=40, num_lip_vertices=4)
+        gt, _ = gen_viseme_track(spec)
+        cfg = TrainConfig(learning_rate=learning_rate, steps=60, seed=3, num_basis=10)
+        want, has_growing_terms = where_curve(gt, cfg)
+        assert has_growing_terms == grows
+        assert fit(gt, cfg).loss_curve.tobytes() == want.tobytes()
+
+
+def where_curve(gt, cfg):
+    """fit's loss curve with both branches of every term built for all
+    (step, mode) entries and picked by np.where, in one block."""
+    gram, rhs, offset = quadratic_form(gt, cfg)
+    flat = np.random.default_rng(cfg.seed).uniform(
+        -0.01, 0.01, (cfg.num_basis, gt.num_vertices, 3)
+    ).reshape(cfg.num_basis, -1)
+    total, residual = toytrain._evaluate_form(gram, rhs, offset, flat)
+    lam, modes = np.linalg.eigh(gram)
+    rate = cfg.learning_rate * lam
+    descent = -(modes.T @ residual)
+    shift = np.divide(descent, lam[:, None], out=np.zeros_like(descent), where=lam[:, None] != 0)
+    weight = np.sum(descent * shift, axis=1)
+    x = np.arange(1, cfg.steps)[:, None] * np.log1p(-4.0 * rate * (1.0 - rate))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = np.where(x > 1.0, np.exp(x + np.log(weight)) - weight, weight * np.expm1(x))
+    curve = np.full(cfg.steps, total)
+    curve[1:] += terms.sum(axis=1)
+    return curve, bool(np.any(x > 1.0))
+
 
 def quadratic_form(gt, cfg):
     basis = temporal_basis(gt.num_frames, cfg.num_basis)
