@@ -45,7 +45,7 @@ from .io import (
     write_msq,
 )
 from .mesh import MeshSequence, VertexRegionMask, frame_difference_norms
-from .metrics import DtwResult, MetricReport, dtw, evaluate, ldtw
+from .metrics import DtwResult, MetricReport, dtw, evaluate, ldtw, transition_split
 from .synth import SegmentAnnotation, SynthSpec, demo_spec, gen_viseme_track, inject_jitter
 from .toytrain import (
     AblationResult,
@@ -104,6 +104,7 @@ __all__ = [
     "dtw",
     "evaluate",
     "ldtw",
+    "transition_split",
     "SegmentAnnotation",
     "SynthSpec",
     "demo_spec",

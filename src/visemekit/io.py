@@ -32,7 +32,7 @@ from .coarticulation import CoarticulationWeights, LossKind, LossReport
 from .errors import ConstraintError, FormatError
 from .mesh import MeshSequence, VertexRegionMask
 from .synth import SegmentAnnotation, SynthSpec, _validate_spec, gen_viseme_track
-from .toytrain import AblationResult, TrainConfig, TrainReport
+from .toytrain import AblationResult, TrainConfig
 
 __all__ = [
     "read_text",
@@ -233,27 +233,13 @@ def _ablation_rows(result: AblationResult) -> list[list[str]]:
     return rows
 
 
-def _train_rows(report: TrainReport) -> list[list[str]]:
-    rows = [
-        ["key", "value"],
-        ["steps", str(len(report.loss_curve))],
-        ["final_rec", _fmt(report.final_rec)],
-        ["final_vel", _fmt(report.final_vel)],
-        ["final_pc", _fmt(report.final_pc)],
-        ["fve", _fmt(report.metrics.fve)],
-        ["lve", _fmt(report.metrics.lve)],
-        ["ldtw", _fmt(report.metrics.ldtw)],
-        ["lip_max", _fmt(report.metrics.lip_max)],
-    ]
-    if report.lve_transition is not None:
-        rows.append(["lve_transition", _fmt(report.lve_transition)])
-    if report.lve_hold is not None:
-        rows.append(["lve_hold", _fmt(report.lve_hold)])
-    return rows
-
-
 def format_csv_report(report) -> str:
-    """Render any report object as CSV text; the layout depends on the type."""
+    """Render any report object as CSV text; the layout depends on the type.
+    A dict renders as key,value rows in its order, an int value as is."""
+    if isinstance(report, dict):
+        rows = [[key, str(value) if isinstance(value, int) else _fmt(value)]
+                for key, value in report.items()]
+        return _csv_text([["key", "value"], *rows])
     if isinstance(report, metrics.MetricReport):
         return _csv_text(_metric_rows(report))
     if isinstance(report, AblationResult):
@@ -269,8 +255,6 @@ def format_csv_report(report) -> str:
             report.frame_start + 1,
             [report.raw_energy, report.weights],
         )
-    if isinstance(report, TrainReport):
-        return _csv_text(_train_rows(report))
     raise TypeError(f"no CSV layout for {type(report).__name__}")
 
 

@@ -23,18 +23,18 @@ __all__ = [
     "dtw",
     "ldtw",
     "evaluate",
+    "transition_split",
 ]
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    """All four metrics plus their per-frame breakdowns."""
+    """All four metrics, plus the per-frame LVE that a transition split reads."""
 
     fve: float
     lve: float
     ldtw: float
     lip_max: float
-    per_frame_fve: np.ndarray
     per_frame_lve: np.ndarray
 
 
@@ -194,6 +194,8 @@ def dtw(
         flat[start:stop:m] += prior
     acc = table[1:, 1:]
 
+    # the walk reads Python floats: numpy scalar indexing costs more per step
+    get = acc.item
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i > 0 or j > 0:
@@ -202,10 +204,10 @@ def dtw(
         elif j == 0:
             i -= 1
         else:
-            best = min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-            if acc[i - 1, j - 1] == best:
+            diagonal, up, left = get(i - 1, j - 1), get(i - 1, j), get(i, j - 1)
+            if diagonal <= up and diagonal <= left:
                 i, j = i - 1, j - 1
-            elif acc[i - 1, j] == best:
+            elif up <= left:
                 i -= 1
             else:
                 j -= 1
@@ -237,19 +239,42 @@ def ldtw(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:
     return result.distance / result.path_length
 
 
-def evaluate(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> MetricReport:
-    """Compute all four metrics in one pass."""
+def _vertex_errors(
+    gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """FVE, the per-frame LVE and the (T, L) lip-vertex errors of `pred`."""
     a, b = require_same_shape(gt, pred)
     lips.validate_for(a.shape[1])
     errors = np.linalg.norm(a - b, axis=2)
     lip_errors = errors[:, lips.indices]
-    per_frame_fve = errors.mean(axis=1)
-    per_frame_lve = lip_errors.mean(axis=1)
+    return float(errors.mean(axis=1).mean()), lip_errors.mean(axis=1), lip_errors
+
+
+def evaluate(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> MetricReport:
+    """Compute all four metrics in one pass."""
+    fve, per_frame_lve, lip_errors = _vertex_errors(gt, pred, lips)
     return MetricReport(
-        fve=float(per_frame_fve.mean()),
+        fve=fve,
         lve=float(per_frame_lve.mean()),
         ldtw=ldtw(gt, pred, lips),
         lip_max=float(lip_errors.max(axis=1).mean()),
-        per_frame_fve=per_frame_fve,
         per_frame_lve=per_frame_lve,
+    )
+
+
+def transition_split(
+    per_frame_lve: np.ndarray, transition: np.ndarray
+) -> tuple[float | None, float | None]:
+    """Mean LVE over the transition frames and over the hold frames.
+
+    `transition` is an annotation's per-frame transition mask; a side with
+    no frames is None.
+    """
+    if len(transition) != len(per_frame_lve):
+        raise ConstraintError(
+            f"annotation covers {len(transition)} frames, sequence has {len(per_frame_lve)}"
+        )
+    return tuple(
+        float(per_frame_lve[side].mean()) if side.any() else None
+        for side in (transition, ~transition)
     )

@@ -16,15 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .coarticulation import (
-    CoarticulationWeights,
-    LossKind,
-    WindowSpec,
-    coarticulation_weights,
-    loss_pc,
-    loss_rec,
-    loss_vel,
-)
+from .coarticulation import CoarticulationWeights, LossKind, WindowSpec, coarticulation_weights
 from .errors import ConstraintError, DivergenceError, require_integer
 from .mesh import MeshSequence, VertexRegionMask, _row_blocks
 from .synth import SegmentAnnotation
@@ -103,17 +95,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Everything observable about one training run."""
+    """What one training run produced; scoring it is the caller's choice."""
 
     loss_curve: np.ndarray  # objective at the start of each step, length = steps
-    final_rec: float
-    final_vel: float
-    final_pc: float
-    metrics: metrics.MetricReport
     coef: np.ndarray  # fitted coefficients (K, V, 3) over the temporal basis
-    prediction: MeshSequence  # their basis expansion, the sequence scored above
-    lve_transition: float | None = None
-    lve_hold: float | None = None
+    prediction: MeshSequence  # their basis expansion
+    weights: CoarticulationWeights  # the cfg.sigma weights the run was built on
 
 
 def _quadratic_form(
@@ -168,26 +155,20 @@ def objective_and_gradient(
     return total, (2.0 * residual).reshape(coef.shape)
 
 
-def fit(
-    gt: MeshSequence,
-    cfg: TrainConfig,
-    annotation: SegmentAnnotation | None = None,
-    lips: VertexRegionMask | None = None,
-) -> TrainReport:
-    """Fit the toy model to `gt` by plain gradient descent.
+def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
+    """Fit the toy model to `gt` by plain gradient descent; score nothing.
 
     Deterministic given cfg.seed, which only drives the small uniform noise
     used to initialize the coefficients. Coarticulation weights are computed
-    once from `gt` with the window radius cfg.sigma, for both losses: the PC
-    objective trains on them and final_pc scores on them. The objective's
+    once from `gt` with the window radius cfg.sigma, for both losses; the PC
+    objective trains on them, and the report carries them so that a caller
+    can score the prediction under the same weights. The objective's
     quadratic form is computed once from them, and the cfg.steps
     gradient-descent iterates are evaluated in closed form from one
     eigendecomposition of that form, without stepping.
     Raises DivergenceError at the first step whose objective is non-finite.
-    The report carries the fitted coefficients and the prediction its losses
-    and metrics were computed on, expanded from the basis the fit built.
-    When `annotation` is given the report also carries lip error split by
-    transition vs hold frames.
+    The report carries the loss curve, the fitted coefficients and their
+    prediction, expanded from the basis the fit built.
     """
     num_frames, num_vertices = gt.num_frames, gt.num_vertices
     if num_frames < 2:
@@ -239,34 +220,7 @@ def fit(
     flat += modes @ (moved[:, None] * shift)
 
     pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), gt.fps)
-
-    lips_mask = lips if lips is not None else VertexRegionMask.full(num_vertices)
-    report_metrics = metrics.evaluate(gt, pred, lips_mask)
-
-    lve_transition = lve_hold = None
-    if annotation is not None:
-        tmask = annotation.transition_mask()
-        if len(tmask) != num_frames:
-            raise ConstraintError(
-                f"annotation covers {len(tmask)} frames, sequence has {num_frames}"
-            )
-        per_frame = report_metrics.per_frame_lve
-        if tmask.any():
-            lve_transition = float(per_frame[tmask].mean())
-        if (~tmask).any():
-            lve_hold = float(per_frame[~tmask].mean())
-
-    return TrainReport(
-        loss_curve=curve,
-        final_rec=loss_rec(gt, pred).total,
-        final_vel=loss_vel(gt, pred).total,
-        final_pc=loss_pc(gt, pred, weights).total,
-        metrics=report_metrics,
-        coef=coef,
-        prediction=pred,
-        lve_transition=lve_transition,
-        lve_hold=lve_hold,
-    )
+    return TrainReport(loss_curve=curve, coef=coef, prediction=pred, weights=weights)
 
 
 # -- window-size ablation -------------------------------------------------------
@@ -307,19 +261,20 @@ def ablate_window(
     """Fit once per window radius (weighted loss) plus one unweighted baseline.
 
     Every run reuses the same seed and hyperparameters so the rows differ
-    only in the loss. best_sigma is the radius of the lowest-LVE weighted
-    row (None when `sigmas` is empty).
+    only in the loss. Each row scores only what the table shows: FVE and
+    LVE over `lips` (default: every vertex) and, when `annotation` is given,
+    the LVE split by transition vs hold frames, with the arithmetic of
+    metrics.evaluate and metrics.transition_split. best_sigma is the radius
+    of the lowest-LVE weighted row (None when `sigmas` is empty).
     """
+    lips = lips if lips is not None else VertexRegionMask.full(gt.num_vertices)
 
     def run(run_cfg: TrainConfig, sigma: int | None) -> AblationRow:
-        report = fit(gt, run_cfg, annotation, lips)
-        return AblationRow(
-            sigma=sigma,
-            fve=report.metrics.fve,
-            lve=report.metrics.lve,
-            lve_transition=report.lve_transition,
-            lve_hold=report.lve_hold,
-        )
+        fve, per_frame_lve, _ = metrics._vertex_errors(gt, fit(gt, run_cfg).prediction, lips)
+        split = (None, None)
+        if annotation is not None:
+            split = metrics.transition_split(per_frame_lve, annotation.transition_mask())
+        return AblationRow(sigma, fve, float(per_frame_lve.mean()), *split)
 
     rows = [
         run(replace(cfg, loss_choice=LossKind.PC, sigma=int(s)), int(s)) for s in sigmas

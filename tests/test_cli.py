@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import subprocess
@@ -20,6 +21,7 @@ from visemekit import (
     gen_viseme_track,
     loss_pc,
     parse_train_config,
+    read_mask,
     read_msq,
     write_annotation,
     write_msq,
@@ -372,6 +374,48 @@ class TestTrain:
         write_msq(want, tmp_path / "want.msq")
         assert (out / "pred.msq").read_bytes() == (tmp_path / "want.msq").read_bytes()
 
+    def test_report_layout(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (10, 2, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 4\nnum_basis = 3\n")
+        out = tmp_path / "run"
+        assert main(["train", "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 0
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0] == "key,value"
+        keys = [row.split(",")[0] for row in lines[1:]]
+        assert keys == [
+            "steps", "final_rec", "final_vel", "final_pc",
+            "fve", "lve", "ldtw", "lip_max",
+        ]
+        assert lines[1] == "steps,4"
+
+    def test_report_with_segments(self, tmp_path, capsys):
+        rng = np.random.default_rng(15)
+        gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (8, 2, 3)))
+        labels = ("a", "transition", "b", "b", "b", "b", "b", "b")
+        annot = tmp_path / "gt.ann.csv"
+        write_annotation(SegmentAnnotation(labels, np.zeros(8, dtype=bool)), annot)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 4\nnum_basis = 2\n")
+        out = tmp_path / "run"
+        argv = ["train", "--gt", gt, "--out", str(out), "--config", str(cfg), "--annot", str(annot)]
+        assert main(argv) == 0
+        keys = [row.split(",")[0] for row in (out / "report.csv").read_text().splitlines()[1:]]
+        assert keys[-2:] == ["lve_transition", "lve_hold"]
+
+    def test_annotation_length_mismatch_writes_nothing(self, tmp_path, capsys):
+        gt = msq(tmp_path, "gt.msq", np.zeros((5, 1, 3)))
+        annot = tmp_path / "gt.ann.csv"
+        write_annotation(SegmentAnnotation(("a", "b"), np.zeros(2, dtype=bool)), annot)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 1\nnum_basis = 2\n")
+        out = tmp_path / "run"
+        argv = ["train", "--gt", gt, "--out", str(out), "--config", str(cfg), "--annot", str(annot)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: annotation covers 2 frames, sequence has 5\n"
+        assert not out.exists()
+
     def test_default_config(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (12, 1, 3)))
@@ -642,3 +686,43 @@ class TestOneProcessManyCommands:
         assert len(files) == 6
         for name in files:
             assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+class TestPinnedOutputs:
+    """The text `train` and `ablate` write for demo track 3, pinned as SHA-256
+    digests, so that moving the scoring between modules cannot move an output
+    byte. The texts print floats with %.9g. pred.msq holds raw float64, whose
+    last bits may follow the host's BLAS and LAPACK, so it is not hashed: it is
+    scored again and must give the pinned report's numbers."""
+
+    CONFIG = "learning_rate = 0.2\nsteps = 1200\nnum_basis = 30\nseed = 3\n"
+    PINNED = {
+        "pc3/report.csv": "a230a6edc7797ea0d561d34ed04f5d3cbcf30961f46f2482498256c19a6fd8f6",
+        "pc3/loss_curve.csv": "87c1cf5ce97ece6305d3087f704b20558fc5351e9e4e0f676775a05f3a712881",
+        "rec/report.csv": "586cd8deac6b62951e4cc3bf515127acfecfda593a78fe4e88b02990f7b37bf0",
+        "rec/loss_curve.csv": "cb4a19adaf9dad4df9f68a41f502efa2a16dede303342a30e291a82af5a39817",
+        "ablate.stdout": "f9714a655287d329dcd1bd9925c7553443f74f18fbe7642614b757c59d275012",
+    }
+
+    def test_demo_track_outputs_are_pinned(self, tmp_path, capsys):
+        track, annotation = gen_viseme_track(demo_spec(seed=3))
+        gt, annot, lips = tmp_path / "gt.msq", tmp_path / "gt.ann.csv", tmp_path / "lips.txt"
+        write_msq(track, gt)
+        write_annotation(annotation, annot)
+        lips.write_text("".join(f"{i}\n" for i in range(20)))
+        extra = ["--annot", str(annot), "--lips", str(lips)]
+        for name, head, more in (("pc3", "loss = pc\nsigma = 3\n", extra), ("rec", "loss = rec\n", [])):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(head + self.CONFIG)
+            argv = ["train", "--gt", str(gt), "--out", str(tmp_path / name), "--config", str(cfg)]
+            assert main(argv + more) == 0
+        capsys.readouterr()
+        assert main(["ablate", "--gt", str(gt), "--config", str(cfg)] + extra) == 0
+        (tmp_path / "ablate.stdout").write_text(capsys.readouterr().out)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED}
+        assert got == self.PINNED
+        for name, mask in (("pc3", read_mask(lips)), ("rec", VertexRegionMask.full(track.num_vertices))):
+            scores = evaluate(track, read_msq(tmp_path / name / "pred.msq"), mask)
+            report = dict(line.split(",") for line in (tmp_path / name / "report.csv").read_text().splitlines())
+            for key in ("fve", "lve", "ldtw", "lip_max"):
+                assert report[key] == "%.9g" % getattr(scores, key), (name, key)

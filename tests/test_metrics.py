@@ -365,9 +365,9 @@ class TestEvaluate:
         lips = VertexRegionMask(np.array([0, 2, 4]))
         report = evaluate(gt, pred, lips)
         assert report.ldtw == ldtw(gt, pred, lips)
-        assert len(report.per_frame_fve) == 6
         assert len(report.per_frame_lve) == 6
-        assert report.fve == pytest.approx(np.mean(report.per_frame_fve), abs=1e-9)
+        errors = np.linalg.norm(gt.frames - pred.frames, axis=2)
+        assert report.fve == pytest.approx(np.mean(errors), abs=1e-9)
         assert report.lve == pytest.approx(np.mean(report.per_frame_lve), abs=1e-9)
 
     def test_zero_iff_identical(self):
@@ -380,3 +380,19 @@ class TestEvaluate:
         frames[2, 1, 0] += 1e-6
         report = evaluate(gt, seq(frames), lips)
         assert report.fve > 0 and report.lve > 0 and report.ldtw > 0 and report.lip_max > 0
+
+
+class TestTransitionSplit:
+    def test_means_over_each_side(self):
+        per_frame = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+        transition = np.array([False, True, True, False, False])
+        assert metrics.transition_split(per_frame, transition) == (2.5, 14.0 / 3.0)
+
+    def test_a_side_without_frames_is_none(self):
+        per_frame = np.array([1.0, 2.0])
+        assert metrics.transition_split(per_frame, np.array([False, False])) == (None, 1.5)
+        assert metrics.transition_split(per_frame, np.array([True, True])) == (1.5, None)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ConstraintError, match="^annotation covers 2 frames, sequence has 5$"):
+            metrics.transition_split(np.zeros(5), np.array([True, False]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from visemekit import mesh, toytrain
+from visemekit import mesh, metrics, toytrain
 from visemekit import (
     ConstraintError,
     DivergenceError,
@@ -16,6 +16,7 @@ from visemekit import (
     WindowSpec,
     ablate_window,
     coarticulation_weights,
+    evaluate,
     fit,
     grad_loss_pc,
     grad_loss_rec,
@@ -25,6 +26,7 @@ from visemekit import (
     loss_vel,
     objective_and_gradient,
     temporal_basis,
+    transition_split,
 )
 from visemekit.coarticulation import central_difference, relative_gradient_error
 from visemekit.synth import demo_spec, gen_viseme_track
@@ -176,7 +178,7 @@ class TestFit:
             loss_choice=LossKind.REC, learning_rate=0.05, steps=4000, num_basis=4
         )
         report = fit(gt, cfg)
-        assert report.final_rec <= 1e-6
+        assert loss_rec(gt, report.prediction).total <= 1e-6
         # closed-form check: the optimum really is (near) zero residual
         lsq = np.linalg.lstsq(basis, np.asarray(gt.frames).reshape(16, -1), rcond=None)
         assert lsq[1].sum() if lsq[1].size else 0.0 <= 1e-12
@@ -206,7 +208,7 @@ class TestFit:
         report_b = fit(gt, cfg)
         assert np.array_equal(report_a.coef, report_b.coef)
         assert np.array_equal(report_a.loss_curve, report_b.loss_curve)
-        assert report_a.metrics.lve == report_b.metrics.lve
+        assert report_a.prediction.frames.tobytes() == report_b.prediction.frames.tobytes()
 
     def test_divergence_detected_with_step_index(self):
         rng = np.random.default_rng(6)
@@ -232,22 +234,24 @@ class TestFit:
         assert len(report.coef) == 4
 
     def test_annotation_split(self):
+        # fit scores nothing; ablate's row for the same run carries the split
         rng = np.random.default_rng(8)
         gt = seq(rng.normal(0.0, 1.0, (8, 2, 3)))
         labels = ("a", "a", "transition", "transition", "b", "b", "b", "b")
         annotation = SegmentAnnotation(labels, np.zeros(8, dtype=bool))
         cfg = TrainConfig(steps=5, num_basis=2)
-        report = fit(gt, cfg, annotation=annotation, lips=VertexRegionMask(np.array([0])))
-        assert report.lve_transition is not None and report.lve_hold is not None
-        per_frame = report.metrics.per_frame_lve
-        assert report.lve_transition == pytest.approx(per_frame[2:4].mean())
-        assert report.lve_hold == pytest.approx(np.concatenate([per_frame[:2], per_frame[4:]]).mean())
+        lips = VertexRegionMask(np.array([0]))
+        row = ablate_window(gt, cfg, [cfg.sigma], annotation=annotation, lips=lips).rows[0]
+        assert row.lve_transition is not None and row.lve_hold is not None
+        per_frame = evaluate(gt, fit(gt, cfg).prediction, lips).per_frame_lve
+        assert row.lve_transition == pytest.approx(per_frame[2:4].mean())
+        assert row.lve_hold == pytest.approx(np.concatenate([per_frame[:2], per_frame[4:]]).mean())
 
     def test_annotation_length_mismatch(self):
         gt = seq(np.zeros((5, 1, 3)))
         annotation = SegmentAnnotation(("a", "b"), np.zeros(2, dtype=bool))
-        with pytest.raises(ConstraintError):
-            fit(gt, TrainConfig(steps=1, num_basis=2), annotation=annotation)
+        with pytest.raises(ConstraintError, match="annotation covers 2 frames, sequence has 5"):
+            ablate_window(gt, TrainConfig(steps=1, num_basis=2), [], annotation=annotation)
 
     def test_needs_two_frames(self):
         with pytest.raises(ConstraintError):
@@ -262,33 +266,37 @@ class TestFit:
         want = seq(np.tensordot(temporal_basis(gt.num_frames, 10), report.coef, axes=(1, 0)))
         assert report.prediction.frames.tobytes() == want.frames.tobytes()
         assert report.prediction.fps == want.fps == gt.fps
-        assert report.final_rec == loss_rec(gt, want).total
 
     @pytest.mark.parametrize("sigma", [0, 4])
     def test_rec_final_pc_is_scored_under_config_sigma(self, sigma):
+        # a REC run carries its config's weights, which `train` scores final_pc on
         spec = demo_spec(seed=4, num_vertices=8, num_frames=40, num_lip_vertices=4)
         gt, _ = gen_viseme_track(spec)
         cfg = TrainConfig(loss_choice=LossKind.REC, sigma=sigma, learning_rate=0.2, steps=300,
                           seed=2, num_basis=10)
         report = fit(gt, cfg)
         weights = coarticulation_weights(gt, WindowSpec(sigma))
-        assert report.final_pc == loss_pc(gt, report.prediction, weights).total
+        assert report.weights.weights.tobytes() == weights.weights.tobytes()
+        final_pc = loss_pc(gt, report.prediction, report.weights).total
+        assert final_pc == loss_pc(gt, report.prediction, weights).total
         default = loss_pc(gt, report.prediction, coarticulation_weights(gt)).total
-        assert report.final_pc != default
+        assert final_pc != default
 
     @pytest.mark.parametrize("kind", [LossKind.REC, LossKind.PC])
     def test_curve_blocks_match_one_block(self, kind, monkeypatch):
         spec = demo_spec(seed=4, num_vertices=8, num_frames=40, num_lip_vertices=4)
         gt, _ = gen_viseme_track(spec)
         cfg = TrainConfig(loss_choice=kind, learning_rate=0.2, steps=300, seed=2, num_basis=10)
+        lips = VertexRegionMask.full(gt.num_vertices)
         whole = fit(gt, cfg)
+        whole_ldtw = metrics.ldtw(gt, whole.prediction, lips)
         # a tiny budget splits the 299 curve rows into blocks, down to one row
         for budget in (1, 25, 70):
             monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", budget)
             report = fit(gt, cfg)
             assert report.loss_curve.tobytes() == whole.loss_curve.tobytes()
             assert report.coef.tobytes() == whole.coef.tobytes()
-            assert report.metrics.ldtw == whole.metrics.ldtw
+            assert metrics.ldtw(gt, report.prediction, lips) == whole_ldtw
 
     # lr * lambda_max is 0.02 at 0.2 and 2.0 at 18.0, where the loss grows to
     # ~1e57 in 60 steps and stays finite
@@ -544,3 +552,28 @@ class TestAblateWindow:
         best = min(weighted, key=lambda r: r.lve)
         assert result.best_sigma == best.sigma
         assert [r.sigma for r in weighted] == [0, 1, 2]
+
+    def test_scores_only_what_it_prints(self, monkeypatch):
+        # no LDTW, which no column shows; every printed score is bit-equal to
+        # evaluate and transition_split applied to the same fit's prediction
+        gt, annotation = gen_viseme_track(demo_spec(seed=3))
+        lips = VertexRegionMask(np.arange(20))
+        cfg = TrainConfig(learning_rate=0.2, steps=1200, seed=3, num_basis=30)
+        calls = []
+
+        def counted(*args, _real=metrics.ldtw):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(metrics, "ldtw", counted)
+        result = ablate_window(gt, cfg, list(range(6)), annotation=annotation, lips=lips)
+        assert calls == []
+        monkeypatch.undo()
+        for row in result.rows:
+            if row.sigma is None:
+                run_cfg = replace(cfg, loss_choice=LossKind.REC)
+            else:
+                run_cfg = replace(cfg, loss_choice=LossKind.PC, sigma=row.sigma)
+            scores = evaluate(gt, fit(gt, run_cfg).prediction, lips)
+            split = transition_split(scores.per_frame_lve, annotation.transition_mask())
+            assert (row.fve, row.lve, row.lve_transition, row.lve_hold) == (scores.fve, scores.lve, *split)
