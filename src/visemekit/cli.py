@@ -110,6 +110,8 @@ def cmd_train(args) -> int:
     gt = io.read_msq(args.gt)
     cfg = _load_config(args.config)
     annotation = _load_annotation(args.annot)
+    if annotation is not None:
+        metrics._require_coverage(len(annotation.labels), gt.num_frames)
     lips = _load_lips(args.lips, gt.num_vertices)
     report = toytrain.fit(gt, cfg)
     pred = report.prediction
@@ -204,7 +206,7 @@ def cmd_gradcheck(args) -> int:
             # np.maximum keeps a NaN error, which max() would drop
             worst[name] = float(np.maximum(worst[name], relative_gradient_error(analytic, numeric)))
 
-        # the trainer's quadratic-form gradient against finite differences of
+        # the trainer's least-squares gradient against finite differences of
         # the same losses evaluated on the toy model's basis prediction
         num_basis = int(rng.integers(1, num_frames))
         coef = rng.normal(0.0, 1.0, (num_basis, num_vertices, 3))

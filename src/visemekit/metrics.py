@@ -262,6 +262,12 @@ def evaluate(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> Me
     )
 
 
+def _require_coverage(annotated: int, num_frames: int) -> None:
+    """An annotation must label every frame of the sequence it splits."""
+    if annotated != num_frames:
+        raise ConstraintError(f"annotation covers {annotated} frames, sequence has {num_frames}")
+
+
 def transition_split(
     per_frame_lve: np.ndarray, transition: np.ndarray
 ) -> tuple[float | None, float | None]:
@@ -270,10 +276,7 @@ def transition_split(
     `transition` is an annotation's per-frame transition mask; a side with
     no frames is None.
     """
-    if len(transition) != len(per_frame_lve):
-        raise ConstraintError(
-            f"annotation covers {len(transition)} frames, sequence has {len(per_frame_lve)}"
-        )
+    _require_coverage(len(transition), len(per_frame_lve))
     return tuple(
         float(per_frame_lve[side].mean()) if side.any() else None
         for side in (transition, ~transition)

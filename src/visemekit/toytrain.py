@@ -103,39 +103,30 @@ class TrainReport:
     weights: CoarticulationWeights  # the cfg.sigma weights the run was built on
 
 
-def _quadratic_form(
+def _least_squares(
     gt: MeshSequence,
     cfg: TrainConfig,
     basis: np.ndarray,
     weights: CoarticulationWeights,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The training objective as an exact quadratic in the coefficients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The training objective as a least-squares problem in the coefficients.
 
-    With per-frame weights w (the PC weights, or all ones for REC), the
-    first-difference operator D and M = diag(w) + vel_coefficient * D^T D,
-    the objective at flattened coefficients C (K, 3V) is
-        f(C) = <C, G C> - 2 <C, R> + c0,
-    with G = B^T M B, R = B^T M Y and c0 = <Y, M Y> for the basis B and the
-    flattened targets Y (T, 3V). The weights are the CLAMP weights of `gt`,
-    so the form is fixed for a whole fit.
+    With per-frame weights w (the PC weights, or all ones for REC), the basis
+    B and the flattened targets Y (T, 3V), the objective at flattened
+    coefficients C (K, 3V) is f(C) = ||A C - b||^2 with A = sqrt(w) B and
+    b = sqrt(w) Y. When vel_coefficient mu > 0, sqrt(mu) D B is stacked under
+    A and sqrt(mu) D Y under b, with the first-difference operator D. The
+    weights are the CLAMP weights of `gt`, so (A, b) is fixed for a whole fit.
     """
     targets = gt.frames.reshape(gt.num_frames, -1)
     w = weights.weights if cfg.loss_choice is LossKind.PC else np.ones(gt.num_frames)
-    mu = cfg.vel_coefficient
-    basis_steps = np.diff(basis, axis=0)
-    target_steps = np.diff(targets, axis=0)
-    gram = basis.T @ (w[:, None] * basis) + mu * (basis_steps.T @ basis_steps)
-    rhs = basis.T @ (w[:, None] * targets) + mu * (basis_steps.T @ target_steps)
-    offset = float(w @ np.sum(targets * targets, axis=1) + mu * np.sum(target_steps**2))
-    return gram, rhs, offset
-
-
-def _evaluate_form(
-    gram: np.ndarray, rhs: np.ndarray, offset: float, flat: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """f(C) and the residual G C - R (half the gradient) at flattened C."""
-    residual = gram @ flat - rhs
-    return float(np.vdot(flat, residual - rhs)) + offset, residual
+    root = np.sqrt(w)[:, None]
+    design, observed = root * basis, root * targets
+    if cfg.vel_coefficient > 0:
+        scale = math.sqrt(cfg.vel_coefficient)
+        design = np.vstack([design, scale * np.diff(basis, axis=0)])
+        observed = np.vstack([observed, scale * np.diff(targets, axis=0)])
+    return design, observed
 
 
 def objective_and_gradient(
@@ -144,15 +135,15 @@ def objective_and_gradient(
     """Training objective at `coef` and its gradient w.r.t. `coef`.
 
     The objective is the chosen frame loss plus vel_coefficient times the
-    velocity loss of the basis prediction, evaluated through its exact
-    quadratic form; the gradient is 2 (G C - R). The weights are built from
-    cfg.sigma as `fit` builds them.
+    velocity loss of the basis prediction, evaluated as the squared norm of
+    the least-squares residual r = A C - b; the gradient is 2 A^T r. The
+    weights are built from cfg.sigma as `fit` builds them.
     """
     coef = np.asarray(coef, dtype=np.float64)
     weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
-    form = _quadratic_form(gt, cfg, temporal_basis(gt.num_frames, len(coef)), weights)
-    total, residual = _evaluate_form(*form, coef.reshape(len(coef), -1))
-    return total, (2.0 * residual).reshape(coef.shape)
+    design, observed = _least_squares(gt, cfg, temporal_basis(gt.num_frames, len(coef)), weights)
+    residual = design @ coef.reshape(len(coef), -1) - observed
+    return float(np.vdot(residual, residual)), (2.0 * (design.T @ residual)).reshape(coef.shape)
 
 
 def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
@@ -163,9 +154,10 @@ def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
     once from `gt` with the window radius cfg.sigma, for both losses; the PC
     objective trains on them, and the report carries them so that a caller
     can score the prediction under the same weights. The objective's
-    quadratic form is computed once from them, and the cfg.steps
-    gradient-descent iterates are evaluated in closed form from one
-    eigendecomposition of that form, without stepping.
+    least-squares form (A, b) is built once from them, and the cfg.steps
+    gradient-descent iterates are evaluated in closed form from one thin SVD
+    of A, without stepping. Every entry of the loss curve is a sum of
+    non-negative terms; entry 0 is the objective evaluated at the start.
     Raises DivergenceError at the first step whose objective is non-finite.
     The report carries the loss curve, the fitted coefficients and their
     prediction, expanded from the basis the fit built.
@@ -181,43 +173,41 @@ def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
 
     basis = temporal_basis(num_frames, num_basis)
     weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
-    form = _quadratic_form(gt, cfg, basis, weights)
+    design, observed = _least_squares(gt, cfg, basis, weights)
 
     rng = np.random.default_rng(cfg.seed)
     coef = rng.uniform(-0.01, 0.01, size=(num_basis, num_vertices, 3))
     flat = coef.reshape(num_basis, -1)  # a view: updating it updates coef
 
-    # Each mode of G = Q diag(lam) Q^T closes its gap to the minimum by a factor
-    # rho = 1 - 2 lr lam per step. With the projected descent g = -Q^T (G C0 - R),
-    # shift = g / lam and w = |g|^2 / lam, f(t) = f(0) + sum w (rho^2t - 1), and
-    # n steps move the coefficients to C0 + Q ((1 - rho^n) shift).
-    total, residual = _evaluate_form(*form, flat)
-    lam, modes = np.linalg.eigh(form[0])
-    rate = cfg.learning_rate * lam  # a mode is stable iff 0 < rate < 1
-    descent = -(modes.T @ residual)
-    # an eigenvalue of exactly 0 (PC weights that underflowed) has g = 0 and no shift
-    shift = np.divide(descent, lam[:, None], out=np.zeros_like(descent), where=lam[:, None] != 0)
-    weight = np.sum(descent * shift, axis=1)
-    log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as lam -> 0
-    curve = np.full(cfg.steps, total)  # entry 0 is f(0); the blocks add the rest from t = 1
+    # With A = U diag(s) V^T and the gap e = b - A C0, the part of e outside
+    # A's range never moves, and mode k of r = U^T e shrinks by
+    # rho = 1 - 2 lr s^2 per step: f(t) = |e_perp|^2 + sum |r_k|^2 rho^2t, and
+    # n steps move the coefficients to C0 + V ((1 - rho^n) r / s).
+    gap = observed - design @ flat
+    left, singular, right = np.linalg.svd(design, full_matrices=False)
+    reach = left.T @ gap
+    outside = gap - left @ reach
+    rate = cfg.learning_rate * singular * singular  # a mode is stable iff 0 < rate < 1
+    # a singular value of exactly 0 (PC weights that underflowed) gets no shift
+    shift = np.divide(reach, singular[:, None], out=np.zeros_like(reach),
+                      where=singular[:, None] != 0)
+    log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as s -> 0
+    curve = np.full(cfg.steps, float(np.vdot(outside, outside)))
+    curve[:1] = np.vdot(gap, gap)  # f(0) is evaluated, as objective_and_gradient does
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_weight = np.log(weight)
+        log_reach2 = np.log(np.sum(reach * reach, axis=1))  # log |r_k|^2
         for rows in _row_blocks(1, cfg.steps, num_basis):
-            x = np.arange(rows.start, rows.stop)[:, None] * log_rho2
-            terms = weight * np.expm1(x)
-            # a growing term overflows when w rho^2t does, not when rho^2t does
-            grows = x > 1.0
-            if grows.any():
-                _, mode = np.nonzero(grows)
-                terms[grows] = np.exp(x[grows] + log_weight[mode]) - weight[mode]
-            curve[rows] += terms.sum(axis=1)
+            x = np.arange(rows.start, rows.stop)[:, None] * log_rho2 + log_reach2
+            # numpy's exp is ~10x slower on results that underflow; such a
+            # term (below 1e-307) is flushed to 0 instead
+            curve[rows] += np.exp(x, out=np.zeros_like(x), where=x > -708.0).sum(axis=1)
         rho = 1.0 - 2.0 * rate
         moved = np.where(rho > 0, -np.expm1(cfg.steps * np.log1p(-2.0 * rate)), 1.0 - rho**cfg.steps)
     diverged = np.flatnonzero(~np.isfinite(curve))
     if diverged.size:
         raise DivergenceError(int(diverged[0]), f"loss became non-finite at step {diverged[0]} "
-                              f"(learning_rate*lambda_max = {rate[-1]:.3g}; stable below 1)")
-    flat += modes @ (moved[:, None] * shift)
+                              f"(learning_rate*lambda_max = {rate[0]:.3g}; stable below 1)")
+    flat += right.T @ (moved[:, None] * shift)
 
     pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), gt.fps)
     return TrainReport(loss_curve=curve, coef=coef, prediction=pred, weights=weights)
@@ -268,6 +258,8 @@ def ablate_window(
     of the lowest-LVE weighted row (None when `sigmas` is empty).
     """
     lips = lips if lips is not None else VertexRegionMask.full(gt.num_vertices)
+    if annotation is not None:
+        metrics._require_coverage(len(annotation.labels), gt.num_frames)
 
     def run(run_cfg: TrainConfig, sigma: int | None) -> AblationRow:
         fve, per_frame_lve, _ = metrics._vertex_errors(gt, fit(gt, run_cfg).prediction, lips)

@@ -5,7 +5,8 @@ loops over nested lists, 1-based frame arithmetic where the definitions are
 1-based, and exhaustive enumeration instead of dynamic programming. Slow on
 purpose; only run on small instances. The track renderer keeps numpy for its
 cosine and frame arithmetic, because the package's render must match it byte
-for byte, and the gradient-descent loop keeps numpy for its matrix products.
+for byte, and the gradient-descent loops keep numpy for their matrix products.
+The exact descent works in rational arithmetic and needs neither.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -256,6 +258,25 @@ class LoopDiverged(ArithmeticError):
         super().__init__(f"loss became non-finite at step {step}")
 
 
+def quadratic_form(basis, w, targets, mu):
+    """The toy objective as normal equations, f(C) = <C, G C> - 2 <C, R> + c0.
+
+    With the basis B (T, K), the flattened targets Y (T, 3V), per-frame
+    weights w, the velocity coefficient mu and the first difference D,
+    M = diag(w) + mu D^T D, G = B^T M B, R = B^T M Y and c0 = <Y, M Y>.
+    Returns (G, R, c0).
+    """
+    basis = np.asarray(basis, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    basis_steps = np.diff(basis, axis=0)
+    target_steps = np.diff(targets, axis=0)
+    gram = basis.T @ (w[:, None] * basis) + mu * (basis_steps.T @ basis_steps)
+    rhs = basis.T @ (w[:, None] * targets) + mu * (basis_steps.T @ target_steps)
+    offset = float(w @ np.sum(targets * targets, axis=1) + mu * np.sum(target_steps**2))
+    return gram, rhs, offset
+
+
 def fit_loop(gram, rhs, offset, coef0, learning_rate, steps):
     """Plain gradient descent on f(C) = <C, G C> - 2 <C, R> + c0, one step at a
     time from the flattened coefficients coef0 (K, 3V): record f, then take
@@ -273,6 +294,60 @@ def fit_loop(gram, rhs, offset, coef0, learning_rate, steps):
         curve[step] = total
         flat -= step_size * residual
     return curve, flat
+
+
+def fit_exact(basis, w, targets, mu, coef0, learning_rate, steps):
+    """Gradient descent on the toy objective in exact rational arithmetic.
+
+    Every input is a float or nested lists of floats (basis B (T, K),
+    weights w (T,), flattened targets Y (T, P), coefficients coef0 (K, P)),
+    converted exactly to Fraction. Each step records f(C) from its
+    definition, with the frame residuals E = B C - Y,
+        f(C) = sum_t w_t |E_t|^2 + mu sum_t |E_(t+1) - E_t|^2,
+    then takes C <- C - lr grad f(C). Returns the loss curve and the final
+    coefficients as Fractions.
+    """
+    B = [[Fraction(float(x)) for x in row] for row in basis]
+    Y = [[Fraction(float(x)) for x in row] for row in targets]
+    C = [[Fraction(float(x)) for x in row] for row in coef0]
+    W = [Fraction(float(x)) for x in w]
+    mu, lr = Fraction(float(mu)), Fraction(float(learning_rate))
+    T, K, P = len(B), len(B[0]), len(Y[0])
+    curve = []
+    for _ in range(steps):
+        E = [[sum(B[t][k] * C[k][j] for k in range(K)) - Y[t][j] for j in range(P)]
+             for t in range(T)]
+        dE = [[E[t + 1][j] - E[t][j] for j in range(P)] for t in range(T - 1)]
+        curve.append(sum(W[t] * sum(e * e for e in E[t]) for t in range(T))
+                     + mu * sum(d * d for row in dE for d in row))
+        grad = [[2 * sum(W[t] * E[t][j] * B[t][k] for t in range(T))
+                 + 2 * mu * sum(dE[t][j] * (B[t + 1][k] - B[t][k]) for t in range(T - 1))
+                 for j in range(P)] for k in range(K)]
+        C = [[C[k][j] - lr * grad[k][j] for j in range(P)] for k in range(K)]
+    return curve, C
+
+
+def fit_loop_longdouble(basis, w, targets, mu, coef0, learning_rate, steps):
+    """The descent of fit_exact in numpy's long double (80-bit extended on
+    x86): each step records f(C) from the frame residuals E = B C - Y, then
+    takes C <- C - lr grad f(C). Summing non-negative terms instead of
+    cancelling against c0 keeps f's digits after it has fallen by many
+    orders of magnitude. Returns the long-double curve and coefficients.
+    """
+    ld = np.longdouble
+    B, Y = np.asarray(basis, dtype=ld), np.asarray(targets, dtype=ld)
+    W, C = np.asarray(w, dtype=ld)[:, None], np.array(coef0, dtype=ld)
+    mu, lr = ld(mu), ld(learning_rate)
+    curve = np.empty(steps, dtype=ld)
+    for step in range(steps):
+        E = B @ C - Y
+        dE = np.diff(E, axis=0)
+        curve[step] = np.sum(W * E * E) + mu * np.sum(dE * dE)
+        adjoint = W * E  # half of df/dE
+        adjoint[1:] += mu * dE
+        adjoint[:-1] -= mu * dE
+        C -= 2 * lr * (B.T @ adjoint)
+    return curve, C
 
 
 def csv_rows_loop(header, first, columns, tail=()):

@@ -40,7 +40,6 @@ from visemekit import (
     write_msq,
 )
 import oracles
-from visemekit import toytrain
 from visemekit.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -207,11 +206,11 @@ def test_converged_weighted_solution_helps_transitions():
         track, annotation = gen_viseme_track(demo_spec(seed=seed))
         transition = annotation.transition_mask()
         basis = temporal_basis(track.num_frames, 30)
-        weights = coarticulation_weights(track, WindowSpec(2))
+        targets = track.frames.reshape(track.num_frames, -1)
         lve = {}
-        for kind in (LossKind.PC, LossKind.REC):
-            cfg = TrainConfig(loss_choice=kind, sigma=2, num_basis=30)
-            gram, rhs, _ = toytrain._quadratic_form(track, cfg, basis, weights)
+        for kind, w in ((LossKind.PC, coarticulation_weights(track, WindowSpec(2)).weights),
+                        (LossKind.REC, np.ones(track.num_frames))):
+            gram, rhs, _ = oracles.quadratic_form(basis, w, targets, 0.0)
             coef = np.linalg.solve(gram, rhs).reshape(30, track.num_vertices, 3)
             pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), track.fps)
             lve[kind] = evaluate(track, pred, lips).per_frame_lve[transition].mean()

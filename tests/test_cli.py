@@ -512,6 +512,26 @@ class TestAblate:
         assert "seed" in capsys.readouterr().err
 
 
+class TestAnnotationCoverage:
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_mismatch_fails_before_training(self, tmp_path, capsys, monkeypatch, command):
+        gt = msq(tmp_path, "gt.msq", np.random.default_rng(8).normal(0.0, 1.0, (120, 2, 3)))
+        annot = tmp_path / "gt.ann.csv"
+        write_annotation(SegmentAnnotation(("a", "b"), np.zeros(2, dtype=bool)), annot)
+        calls = []
+
+        def counted(*args, _real=toytrain.fit):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(toytrain, "fit", counted)
+        argv = {"train": ["train", "--out", str(tmp_path / "run")],
+                "ablate": ["ablate", "--sigmas", "1"]}[command]
+        assert main(argv + ["--gt", gt, "--annot", str(annot)]) == 1
+        assert capsys.readouterr().err == "error: annotation covers 2 frames, sequence has 120\n"
+        assert calls == []
+
+
 class TestGradcheck:
     def test_passes_quickly(self, capsys):
         assert main(["gradcheck", "--trials", "5"]) == 0
@@ -519,14 +539,14 @@ class TestGradcheck:
         assert "worst overall" in out and out.strip().endswith("OK")
 
     def test_checks_trainer_against_direct_losses(self, capsys, monkeypatch):
-        # a quadratic form that drops the velocity term is self-consistent,
+        # a least-squares form that drops the velocity rows is self-consistent,
         # so only finite differences of the direct losses can catch it
-        form = toytrain._quadratic_form
+        form = toytrain._least_squares
 
         def without_velocity(gt, cfg, basis, weights):
             return form(gt, replace(cfg, vel_coefficient=0.0), basis, weights)
 
-        monkeypatch.setattr(toytrain, "_quadratic_form", without_velocity)
+        monkeypatch.setattr(toytrain, "_least_squares", without_velocity)
         assert main(["gradcheck", "--trials", "3"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from visemekit import mesh, metrics, toytrain
+from visemekit import mesh, metrics
 from visemekit import (
     ConstraintError,
     DivergenceError,
@@ -156,11 +156,9 @@ class TestQuadraticForm:
         gt = seq(rng.normal(0.0, 1.0, (16, 2, 3)))
         cfg = TrainConfig(loss_choice=LossKind.PC, vel_coefficient=0.3, sigma=1,
                           learning_rate=0.1, steps=3000, num_basis=4)
-        basis = temporal_basis(16, 4)
-        weights = coarticulation_weights(gt, WindowSpec(1))
-        gram, rhs, _ = toytrain._quadratic_form(gt, cfg, basis, weights)
+        gram, rhs, _ = quadratic_form(gt, cfg)
         best = np.linalg.solve(gram, rhs).reshape(4, 2, 3)
-        minimum, _ = direct_objective(gt, best, cfg, basis)
+        minimum, _ = direct_objective(gt, best, cfg, temporal_basis(16, 4))
         report = fit(gt, cfg)
         curve = report.loss_curve
         assert np.all(curve >= minimum * (1.0 - 1e-12))
@@ -298,67 +296,48 @@ class TestFit:
             assert report.coef.tobytes() == whole.coef.tobytes()
             assert metrics.ldtw(gt, report.prediction, lips) == whole_ldtw
 
-    # lr * lambda_max is 0.02 at 0.2 and 2.0 at 18.0, where the loss grows to
-    # ~1e57 in 60 steps and stays finite
-    @pytest.mark.parametrize("learning_rate, grows", [(0.2, False), (18.0, True)])
-    def test_curve_matches_where_formula(self, learning_rate, grows):
-        # fit computes the overflow-safe branch only where a term grows
-        spec = demo_spec(seed=5, num_vertices=8, num_frames=40, num_lip_vertices=4)
-        gt, _ = gen_viseme_track(spec)
-        cfg = TrainConfig(learning_rate=learning_rate, steps=60, seed=3, num_basis=10)
-        want, has_growing_terms = where_curve(gt, cfg)
-        assert has_growing_terms == grows
-        assert fit(gt, cfg).loss_curve.tobytes() == want.tobytes()
 
-
-def where_curve(gt, cfg):
-    """fit's loss curve with both branches of every term built for all
-    (step, mode) entries and picked by np.where, in one block."""
-    gram, rhs, offset = quadratic_form(gt, cfg)
-    flat = np.random.default_rng(cfg.seed).uniform(
-        -0.01, 0.01, (cfg.num_basis, gt.num_vertices, 3)
-    ).reshape(cfg.num_basis, -1)
-    total, residual = toytrain._evaluate_form(gram, rhs, offset, flat)
-    lam, modes = np.linalg.eigh(gram)
-    rate = cfg.learning_rate * lam
-    descent = -(modes.T @ residual)
-    shift = np.divide(descent, lam[:, None], out=np.zeros_like(descent), where=lam[:, None] != 0)
-    weight = np.sum(descent * shift, axis=1)
-    x = np.arange(1, cfg.steps)[:, None] * np.log1p(-4.0 * rate * (1.0 - rate))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        terms = np.where(x > 1.0, np.exp(x + np.log(weight)) - weight, weight * np.expm1(x))
-    curve = np.full(cfg.steps, total)
-    curve[1:] += terms.sum(axis=1)
-    return curve, bool(np.any(x > 1.0))
+def objective_inputs(gt, cfg):
+    """The oracles' inputs for cfg's objective on gt: the basis, the frame
+    weights (ones for REC), the flattened targets and the velocity coefficient."""
+    num_frames = gt.num_frames
+    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma)).weights
+    w = weights if cfg.loss_choice is LossKind.PC else np.ones(num_frames)
+    return (temporal_basis(num_frames, cfg.num_basis), w, gt.frames.reshape(num_frames, -1),
+            cfg.vel_coefficient)
 
 
 def quadratic_form(gt, cfg):
-    basis = temporal_basis(gt.num_frames, cfg.num_basis)
-    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
-    return toytrain._quadratic_form(gt, cfg, basis, weights)
+    return oracles.quadratic_form(*objective_inputs(gt, cfg))
+
+
+def initial_coef(gt, cfg):
+    return np.random.default_rng(cfg.seed).uniform(
+        -0.01, 0.01, (cfg.num_basis, gt.num_vertices, 3)
+    )
 
 
 def lambda_max(gt, cfg):
     return np.linalg.eigvalsh(quadratic_form(gt, cfg)[0])[-1]
 
 
+def loop(gt, cfg):
+    coef0 = initial_coef(gt, cfg).reshape(cfg.num_basis, -1)
+    return oracles.fit_loop(*quadratic_form(gt, cfg), coef0, cfg.learning_rate, cfg.steps)
+
+
 def fit_and_loop(gt, cfg):
     """fit's loss curve and flattened coefficients, then those of the
     step-by-step oracle run on the same quadratic form and initialization."""
-    num_basis = cfg.num_basis
-    coef0 = np.random.default_rng(cfg.seed).uniform(
-        -0.01, 0.01, (num_basis, gt.num_vertices, 3)
-    ).reshape(num_basis, -1)
-    want_curve, want_coef = oracles.fit_loop(
-        *quadratic_form(gt, cfg), coef0, cfg.learning_rate, cfg.steps
-    )
+    want_curve, want_coef = loop(gt, cfg)
     report = fit(gt, cfg)
-    return report.loss_curve, want_curve, report.coef.reshape(num_basis, -1), want_coef
+    return report.loss_curve, want_curve, report.coef.reshape(cfg.num_basis, -1), want_coef
 
 
 def assert_matches_loop(gt, cfg):
     curve, want_curve, coef, want_coef = fit_and_loop(gt, cfg)
-    assert curve[:1].tobytes() == want_curve[:1].tobytes()  # f(0) is evaluated, not derived
+    start, _ = objective_and_gradient(gt, initial_coef(gt, cfg), cfg)
+    assert curve[:1].tolist() == [start][:len(curve)]  # f(0) is evaluated, not derived
     assert np.all(np.abs(curve - want_curve) <= 1e-10 * np.abs(want_curve))
     assert np.max(np.abs(coef - want_coef)) <= 1e-12 * np.max(np.abs(want_coef))
 
@@ -448,6 +427,38 @@ class TestFitMatchesLoop:
             assert np.all(np.abs(curve - want_curve) <= 1e-12 * want_curve[0])
             assert np.max(np.abs(coef - want_coef)) <= 1e-12 * np.max(np.abs(want_coef))
 
+    def test_white_noise_curves_stay_non_negative(self):
+        # f is a sum of squares: no entry of the curve may be negative, also
+        # where the collapsed PC weights let it fall by 16 orders of magnitude
+        for scale in (4.0, 8.0):
+            for seed in range(12):
+                gt = seq(np.random.default_rng(seed).normal(0.0, scale, (36, 4, 3)))
+                cfg = TrainConfig(loss_choice=LossKind.PC, sigma=2, learning_rate=0.4,
+                                  steps=3000, seed=seed, num_basis=9)
+                assert fit(gt, cfg).loss_curve.min() >= 0.0, (scale, seed)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="no 80-bit long double")
+    def test_white_noise_curve_matches_long_double_loop(self):
+        # f falls from 260 to 2.5e-14, far below eps * f(0), and keeps its digits
+        gt = seq(np.random.default_rng(1).normal(0.0, 4.0, (36, 4, 3)))
+        cfg = TrainConfig(loss_choice=LossKind.PC, sigma=2, learning_rate=0.4, steps=3000,
+                          seed=1, num_basis=9)
+        want, _ = oracles.fit_loop_longdouble(
+            *objective_inputs(gt, cfg), initial_coef(gt, cfg).reshape(9, -1),
+            cfg.learning_rate, cfg.steps,
+        )
+        assert want[-1] < 1e-15 * want[0]
+        curve = fit(gt, cfg).loss_curve
+        assert np.max(np.abs(curve - want) / want) <= 1e-10
+
+    def test_growing_curve_matches_loop(self):
+        # lr * lambda_max is 2.0: the loss grows to ~1e57 in 60 steps and stays finite
+        gt, _ = gen_viseme_track(demo_spec(seed=5, num_vertices=8, num_frames=40,
+                                           num_lip_vertices=4))
+        cfg = TrainConfig(learning_rate=18.0, steps=60, seed=3, num_basis=10)
+        assert fit(gt, cfg).loss_curve[-1] > 1e50
+        assert_matches_loop(gt, cfg)
+
     def test_divergence_step_matches_loop(self):
         def steps_until_divergence(gt, cfg):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -477,6 +488,55 @@ class TestFitMatchesLoop:
             cfg = replace(cfg, learning_rate=ratio / lambda_max(gt, cfg))
             loop_step, fit_step = steps_until_divergence(gt, cfg)
             assert fit_step == loop_step
+
+
+def fit_exact(gt, cfg):
+    """The exact descent's loss curve and flattened coefficients, rounded to
+    float64 once."""
+    curve, coef = oracles.fit_exact(
+        *objective_inputs(gt, cfg), initial_coef(gt, cfg).reshape(cfg.num_basis, -1),
+        cfg.learning_rate, cfg.steps,
+    )
+    return np.array(curve, dtype=np.float64), np.array(coef, dtype=np.float64)
+
+
+class TestFitMatchesExact:
+    """fit against gradient descent in exact rational arithmetic on T=8, K=3,
+    V=1 and 30 steps, with the loop's bounds: curves element-wise to 1e-10
+    relative, coefficients to 1e-12 of their largest magnitude."""
+
+    @pytest.mark.parametrize("kind,mu,ratio", [
+        (LossKind.REC, 0.0, 0.3), (LossKind.REC, 0.3, 0.9),
+        (LossKind.PC, 0.0, 0.6), (LossKind.PC, 0.3, 0.45),
+    ])
+    def test_random_walk(self, kind, mu, ratio):
+        # ratio is lr * lambda_max; fit and the loop both meet the bounds here
+        gt = random_walk(np.random.default_rng(45), 8, 1)
+        cfg = TrainConfig(loss_choice=kind, vel_coefficient=mu, sigma=1, steps=30, seed=4,
+                          num_basis=3)
+        cfg = replace(cfg, learning_rate=ratio / lambda_max(gt, cfg))
+        want_curve, want_coef = fit_exact(gt, cfg)
+        report = fit(gt, cfg)
+        for curve, coef in ((report.loss_curve, report.coef.reshape(3, -1)), loop(gt, cfg)):
+            assert np.all(np.abs(curve - want_curve) <= 1e-10 * want_curve)
+            assert np.max(np.abs(coef - want_coef)) <= 1e-12 * np.max(np.abs(want_coef))
+
+    def test_white_noise_track(self):
+        # The PC weights collapse and f falls from 18 to 9e-18. fit keeps the
+        # curve's digits; the loop, which cancels against c0, keeps only
+        # eps * f(0) and is held to the white-noise bound of TestFitMatchesLoop.
+        gt = seq(np.random.default_rng(0).normal(0.0, 3.0, (8, 1, 3)))
+        cfg = TrainConfig(loss_choice=LossKind.PC, sigma=0, steps=30, seed=0, num_basis=3)
+        cfg = replace(cfg, learning_rate=0.45 / lambda_max(gt, cfg))
+        want_curve, want_coef = fit_exact(gt, cfg)
+        assert want_curve[-1] < 1e-15 * want_curve[0]
+        report = fit(gt, cfg)
+        assert np.all(np.abs(report.loss_curve - want_curve) <= 1e-10 * want_curve)
+        assert np.max(np.abs(report.coef.reshape(3, -1) - want_coef)) <= (
+            1e-12 * np.max(np.abs(want_coef)))
+        loop_curve, loop_coef = loop(gt, cfg)
+        assert np.all(np.abs(loop_curve - want_curve) <= 1e-12 * want_curve[0])
+        assert np.max(np.abs(loop_coef - want_coef)) <= 1e-12 * np.max(np.abs(want_coef))
 
 
 class TestTrainConfig:
