@@ -29,6 +29,7 @@ __all__ = [
     "CoarticulationWeights",
     "LossKind",
     "LossReport",
+    "strict_frame_range",
     "coarticulation_weights",
     "loss_rec",
     "loss_vel",
@@ -159,7 +160,7 @@ def coarticulation_weights(
     Under CLAMP every frame 0..T-1 is covered. Under STRICT only the feasible
     interior frames are, and `frame_start` records the offset. `temperature`
     divides the raw energies before the softmax; the default 1.0 is the
-    canonical behavior.
+    canonical behavior. A quotient that is not finite is a ConstraintError.
     """
     diffs = frame_difference_norms(gt)
     num_frames = len(diffs) + 1
@@ -172,7 +173,11 @@ def coarticulation_weights(
         start, stop = strict_frame_range(window.sigma, num_frames)
     raw = _window_energies(diffs, window.sigma)[start:stop]
 
-    weights = _softmax(raw / temperature)
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        scaled = raw / temperature
+    if not np.isfinite(scaled).all():
+        raise ConstraintError("motion energy over the temperature is not finite")
+    weights = _softmax(scaled)
     return CoarticulationWeights(weights, raw, window.sigma, window.policy, start)
 
 

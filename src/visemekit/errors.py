@@ -5,6 +5,8 @@ The CLI maps these onto exit codes: ConstraintError -> 1, FormatError -> 2.
 
 import math
 
+__all__ = ["VisemekitError", "ConstraintError", "FormatError", "DivergenceError"]
+
 
 class VisemekitError(Exception):
     """Base class for all errors raised by this package."""

@@ -311,6 +311,8 @@ def format_synth_spec(spec: SynthSpec) -> str:
 
 
 def parse_synth_spec(text: str) -> SynthSpec:
+    # keys SynthSpec defaults when the text leaves them out, and their parsers
+    optional = {"blend_halfwidth": float, "jitter_amplitude": float, "seed": int, "label": str}
     scalars: dict[str, str] = {}
     shapes: dict[str, list[float]] = {}
     targets: list[tuple[float, str]] = []
@@ -337,7 +339,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
                 targets.append((float(parts[0]), parts[1]))
             except ValueError:
                 raise FormatError(f"line {lineno}: bad target time {parts[0]!r}") from None
-        elif key in ("num_vertices", "fps", "blend_halfwidth", "jitter_amplitude", "seed", "label"):
+        elif key in ("num_vertices", "fps", *optional):
             if key in scalars:
                 raise FormatError(f"line {lineno}: duplicate key {key!r}")
             scalars[key] = value
@@ -355,9 +357,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
     try:
         num_vertices = int(scalars["num_vertices"])
         fps = float(scalars["fps"])
-        blend_halfwidth = float(scalars.get("blend_halfwidth", "0.1"))
-        jitter_amplitude = float(scalars.get("jitter_amplitude", "0.0"))
-        seed = int(scalars.get("seed", "0"))
+        kwargs = {key: parse(scalars[key]) for key, parse in optional.items() if key in scalars}
     except ValueError as exc:
         raise FormatError(f"bad scalar value: {exc}") from None
 
@@ -375,10 +375,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
         fps=fps,
         viseme_targets=tuple(targets),
         shape_bank=bank,
-        blend_halfwidth=blend_halfwidth,
-        jitter_amplitude=jitter_amplitude,
-        seed=seed,
-        label=scalars.get("label"),
+        **kwargs,
     )
 
 

@@ -201,6 +201,7 @@ def demo_spec(
     0.1 s crossfades.
     """
     fps = 30.0
+    num_frames = require_integer(num_frames, "num_frames", 2)
     if not 0 <= num_lip_vertices <= num_vertices:
         raise ConstraintError(
             f"num_lip_vertices must lie in [0, num_vertices={num_vertices}], "

@@ -80,6 +80,18 @@ class TestWeights:
         assert "temperature" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale, temperature", [(1.0, "1e-310"), (1e200, "1")])
+    def test_non_finite_energy_over_temperature(self, tmp_path, capsys, scale, temperature):
+        """A tiny temperature, or steps whose squared norms overflow, would
+        softmax into nan weights; both are errors instead."""
+        frames = np.random.default_rng(12).normal(0.0, scale, (12, 2, 3))
+        gt = msq(tmp_path, "gt.msq", frames)
+        out = tmp_path / "w.csv"
+        code = main(["weights", "--gt", gt, "--temperature", temperature, "--out", str(out)])
+        assert code == 1
+        assert "motion energy over the temperature is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
     def test_non_finite_fps_header(self, tmp_path, capsys, fps):
         path = tmp_path / "gt.msq"

@@ -1,10 +1,14 @@
 """The package is an acyclic import stack, and every import of a package
 module sits at module level, where the stack can be read off the file. The
 independent references the tests check the package against import nothing
-from it."""
+from it. Each module's `__all__` is the one list of its public names, and the
+package republishes those lists."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import visemekit
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "visemekit"
@@ -120,3 +124,27 @@ def test_one_block_budget():
         if isinstance(target, ast.Name) and target.id.endswith("_ELEMENTS")
     ]
     assert found == ["mesh._BLOCK_ELEMENTS"]
+
+
+def test_package_republishes_each_module_list():
+    """Every module but the command and the package itself lists its public
+    names; the package's list is theirs in module order, each name once, and
+    each listed object is defined in the module that lists it."""
+    listed = {
+        name: importlib.import_module(f"visemekit.{name}")
+        for name in MODULES
+        if name not in ("cli", "__init__")
+    }
+    missing = [name for name, module in listed.items() if not hasattr(module, "__all__")]
+    assert missing == []
+    expected = [entry for module in listed.values() for entry in module.__all__]
+    assert visemekit.__all__ == expected + ["__version__"]
+    assert len(set(visemekit.__all__)) == len(visemekit.__all__)
+    foreign = [
+        f"{name}.{entry} is from {obj.__module__}"
+        for name, module in listed.items()
+        for entry in module.__all__
+        for obj in [getattr(module, entry)]
+        if getattr(obj, "__module__", module.__name__) != module.__name__
+    ]
+    assert foreign == []

@@ -446,6 +446,15 @@ class TestDemoSpec:
         with pytest.raises(ConstraintError, match="num_lip_vertices"):
             demo_spec(seed=0, num_vertices=6, num_lip_vertices=num_lip_vertices)
 
+    @pytest.mark.parametrize("num_frames", [1, 0, -4, 2.5, float("nan")])
+    def test_frame_count_below_two_or_not_integral(self, num_frames):
+        with pytest.raises(ConstraintError, match="num_frames must be an integer >= 2"):
+            demo_spec(seed=0, num_frames=num_frames)
+
+    def test_two_frames(self):
+        seq, _ = gen_viseme_track(demo_spec(seed=0, num_frames=2.0))
+        assert seq.num_frames == 2
+
     def test_all_vertices_are_lips(self):
         seq, _ = gen_viseme_track(demo_spec(seed=0, num_vertices=6, num_lip_vertices=6))
         assert seq.num_vertices == 6

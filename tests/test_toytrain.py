@@ -181,6 +181,16 @@ class TestFit:
         lsq = np.linalg.lstsq(basis, np.asarray(gt.frames).reshape(16, -1), rcond=None)
         assert lsq[1].sum() if lsq[1].size else 0.0 <= 1e-12
 
+    @pytest.mark.parametrize("loss", [LossKind.REC, LossKind.PC])
+    def test_non_finite_coordinate_is_a_constraint_error(self, loss):
+        """The weights reject the nan energy before any training, for both
+        losses, rather than a divergence at step 0 or a failed SVD."""
+        frames = np.random.default_rng(5).normal(0.0, 1.0, (12, 2, 3))
+        frames[6, 1, 2] = np.nan
+        with pytest.raises(ConstraintError, match="not finite") as caught:
+            fit(seq(frames), TrainConfig(loss_choice=loss, steps=10, num_basis=3))
+        assert not isinstance(caught.value, DivergenceError)
+
     def test_zero_steps_returns_initialization(self):
         rng = np.random.default_rng(3)
         gt = seq(rng.normal(0.0, 1.0, (8, 2, 3)))
