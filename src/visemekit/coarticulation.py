@@ -162,7 +162,8 @@ def coarticulation_weights(
     divides the raw energies before the softmax; the default 1.0 is the
     canonical behavior. A quotient that is not finite is a ConstraintError.
     """
-    diffs = frame_difference_norms(gt)
+    with np.errstate(over="ignore"):  # a squared step that overflows is the error raised below
+        diffs = frame_difference_norms(gt)
     num_frames = len(diffs) + 1
     if not (math.isfinite(temperature) and temperature > 0):
         raise ConstraintError(f"temperature must be finite and positive, got {temperature}")

@@ -31,7 +31,7 @@ from . import metrics
 from .coarticulation import CoarticulationWeights, LossKind, LossReport
 from .errors import ConstraintError, FormatError
 from .mesh import MeshSequence, VertexRegionMask
-from .synth import SegmentAnnotation, SynthSpec, _validate_spec, gen_viseme_track
+from .synth import SegmentAnnotation, SynthSpec, gen_viseme_track
 from .toytrain import AblationResult, TrainConfig
 
 __all__ = [
@@ -292,6 +292,31 @@ def _kv_lines(text: str):
         yield lineno, key.strip(), value.strip()
 
 
+def _read_scalars(lines, table, what: str) -> dict:
+    """Keyword arguments from `(lineno, key, value)` lines; `table` maps each
+    text key to its (field, parser). An unknown or repeated key is a FormatError
+    naming its line, and a parser's ValueError one reading `bad <what> value:`."""
+    found: dict[str, str] = {}
+    for lineno, key, value in lines:
+        if key not in table:
+            raise FormatError(f"line {lineno}: unknown key {key!r}")
+        if key in found:
+            raise FormatError(f"line {lineno}: duplicate key {key!r}")
+        found[key] = value
+    try:
+        return {field: parse(found[key]) for key, (field, parse) in table.items() if key in found}
+    except ValueError as exc:
+        raise FormatError(f"bad {what} value: {exc}") from None
+
+
+# text key -> (SynthSpec field, parser); the shape.* and target lines are not scalars
+_SPEC_SCALARS = {
+    key: (key, parse)
+    for key, parse in dict(num_vertices=int, fps=float, blend_halfwidth=float,
+                           jitter_amplitude=float, seed=int, label=str).items()
+}
+
+
 def format_synth_spec(spec: SynthSpec) -> str:
     lines = [
         f"num_vertices = {spec.num_vertices}",
@@ -311,9 +336,7 @@ def format_synth_spec(spec: SynthSpec) -> str:
 
 
 def parse_synth_spec(text: str) -> SynthSpec:
-    # keys SynthSpec defaults when the text leaves them out, and their parsers
-    optional = {"blend_halfwidth": float, "jitter_amplitude": float, "seed": int, "label": str}
-    scalars: dict[str, str] = {}
+    scalar_lines = []
     shapes: dict[str, list[float]] = {}
     targets: list[tuple[float, str]] = []
     for lineno, key, value in _kv_lines(text):
@@ -339,28 +362,19 @@ def parse_synth_spec(text: str) -> SynthSpec:
                 targets.append((float(parts[0]), parts[1]))
             except ValueError:
                 raise FormatError(f"line {lineno}: bad target time {parts[0]!r}") from None
-        elif key in ("num_vertices", "fps", *optional):
-            if key in scalars:
-                raise FormatError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = value
         else:
-            raise FormatError(f"line {lineno}: unknown key {key!r}")
+            scalar_lines.append((lineno, key, value))
+    kwargs = _read_scalars(scalar_lines, _SPEC_SCALARS, "scalar")
 
     for required in ("num_vertices", "fps"):
-        if required not in scalars:
+        if required not in kwargs:
             raise FormatError(f"missing key {required!r}")
     if not shapes:
         raise FormatError("spec defines no shapes")
     if not targets:
         raise FormatError("spec defines no targets")
 
-    try:
-        num_vertices = int(scalars["num_vertices"])
-        fps = float(scalars["fps"])
-        kwargs = {key: parse(scalars[key]) for key, parse in optional.items() if key in scalars}
-    except ValueError as exc:
-        raise FormatError(f"bad scalar value: {exc}") from None
-
+    num_vertices = kwargs["num_vertices"]
     bank = {}
     for name, flat in shapes.items():
         if len(flat) != num_vertices * 3:
@@ -370,13 +384,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
             )
         bank[name] = np.array(flat, dtype=np.float64).reshape(num_vertices, 3)
 
-    return SynthSpec(
-        num_vertices=num_vertices,
-        fps=fps,
-        viseme_targets=tuple(targets),
-        shape_bank=bank,
-        **kwargs,
-    )
+    return SynthSpec(viseme_targets=tuple(targets), shape_bank=bank, **kwargs)
 
 
 def format_train_config(cfg: TrainConfig) -> str:
@@ -393,36 +401,26 @@ def format_train_config(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_train_config(text: str) -> TrainConfig:
-    values: dict[str, str] = {}
-    for lineno, key, value in _kv_lines(text):
-        if key not in ("loss", "sigma", "vel_coefficient", "learning_rate", "steps", "seed", "num_basis"):
-            raise FormatError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise FormatError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = value
+def _loss_choice(text: str) -> LossKind:
+    if text not in ("rec", "pc"):
+        raise ValueError(f"loss must be 'rec' or 'pc', got {text!r}")
+    return LossKind(text)
 
-    kwargs = {}
-    try:
-        if "loss" in values:
-            if values["loss"] not in ("rec", "pc"):
-                raise FormatError(f"loss must be 'rec' or 'pc', got {values['loss']!r}")
-            kwargs["loss_choice"] = LossKind(values["loss"])
-        if "sigma" in values:
-            kwargs["sigma"] = int(values["sigma"])
-        if "vel_coefficient" in values:
-            kwargs["vel_coefficient"] = float(values["vel_coefficient"])
-        if "learning_rate" in values:
-            kwargs["learning_rate"] = float(values["learning_rate"])
-        if "steps" in values:
-            kwargs["steps"] = int(values["steps"])
-        if "seed" in values:
-            kwargs["seed"] = int(values["seed"])
-        if "num_basis" in values:
-            kwargs["num_basis"] = int(values["num_basis"])
-    except ValueError as exc:
-        raise FormatError(f"bad config value: {exc}") from None
-    return TrainConfig(**kwargs)
+
+# text key -> (TrainConfig field, parser)
+_CONFIG_SCALARS = {
+    "loss": ("loss_choice", _loss_choice),
+    "sigma": ("sigma", int),
+    "vel_coefficient": ("vel_coefficient", float),
+    "learning_rate": ("learning_rate", float),
+    "steps": ("steps", int),
+    "seed": ("seed", int),
+    "num_basis": ("num_basis", int),
+}
+
+
+def parse_train_config(text: str) -> TrainConfig:
+    return TrainConfig(**_read_scalars(_kv_lines(text), _CONFIG_SCALARS, "config"))
 
 
 # -- corpus generation ---------------------------------------------------------
@@ -447,11 +445,9 @@ def make_corpus(specs: list[SynthSpec], out_dir) -> list[CorpusRecord]:
     Emits trackNNN.msq + trackNNN.ann.csv per spec and manifest.txt with one
     tab-separated record per sequence: sequence path, annotation path, seed,
     spec hash. Regenerating from the same specs reproduces identical bytes.
-    Every spec is checked before anything is written, so a rejected spec
-    leaves no directory or track behind.
+    A SynthSpec is checked when it is built, so a rejected spec fails
+    before this is called and leaves no directory or track behind.
     """
-    for spec in specs:
-        _validate_spec(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records: list[CorpusRecord] = []

@@ -42,6 +42,10 @@ class SynthSpec:
     shape ids to (V, 3) vertex arrays; the id "transition" is reserved for
     the annotation's blend frames. blend_halfwidth is the half-duration of
     each crossfade in seconds (clamped to half the gap between anchors).
+
+    Every field is checked here, once, and num_vertices and seed are stored
+    as ints. The bank's arrays are not copied, so a bank mutated after
+    construction is the caller's to keep valid, as with MeshSequence frames.
     """
 
     num_vertices: int
@@ -52,6 +56,47 @@ class SynthSpec:
     jitter_amplitude: float = 0.0
     seed: int = 0
     label: str | None = None
+
+    def __post_init__(self):
+        if self.num_vertices < 1:
+            raise ConstraintError("num_vertices must be >= 1")
+        object.__setattr__(self, "num_vertices", require_integer(self.num_vertices, "num_vertices"))
+        if not math.isfinite(self.fps) or self.fps <= 0:
+            raise ConstraintError(f"fps must be positive and finite, got {self.fps}")
+        if not self.blend_halfwidth >= 0:  # inf is allowed: it clamps to half the gap
+            raise ConstraintError(f"blend_halfwidth must be >= 0, got {self.blend_halfwidth}")
+        _require_amplitude(self.jitter_amplitude, "jitter_amplitude")
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
+        if not self.viseme_targets:
+            raise ConstraintError("need at least one viseme target")
+        times = [t for t, _ in self.viseme_targets]
+        if not all(math.isfinite(t) for t in times):
+            raise ConstraintError(f"target times must be finite, got {times}")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ConstraintError(f"target times must be strictly increasing, got {times}")
+        if times[0] < 0:
+            raise ConstraintError("target times must be nonnegative")
+        last_frame = times[-1] * self.fps
+        if not (last_frame < _MAX_FRAMES and round(last_frame) + 1 <= _MAX_FRAMES):
+            raise ConstraintError(
+                f"last target time {times[-1]} at fps {self.fps} needs more than "
+                f"{_MAX_FRAMES} frames, the most an MSQ file holds"
+            )
+        for _, shape_id in self.viseme_targets:
+            if shape_id not in self.shape_bank:
+                raise ConstraintError(f"shape id {shape_id!r} not found in shape bank")
+        for name, shape in self.shape_bank.items():
+            if name == TRANSITION_LABEL:
+                raise ConstraintError(
+                    f"shape id {name!r} is reserved: the annotation labels blend frames with it"
+                )
+            arr = np.asarray(shape, dtype=np.float64)
+            if arr.shape != (self.num_vertices, 3):
+                raise ConstraintError(
+                    f"shape {name!r} has shape {arr.shape}, expected ({self.num_vertices}, 3)"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise ConstraintError(f"shape {name!r} contains non-finite coordinates")
 
 
 @dataclass(frozen=True)
@@ -71,48 +116,6 @@ def _require_amplitude(value: float, name: str) -> None:
         raise ConstraintError(f"{name} must be finite and >= 0, got {value}")
 
 
-def _validate_spec(spec: SynthSpec) -> None:
-    if spec.num_vertices < 1:
-        raise ConstraintError("num_vertices must be >= 1")
-    if not math.isfinite(spec.fps) or spec.fps <= 0:
-        raise ConstraintError(f"fps must be positive and finite, got {spec.fps}")
-    if not spec.blend_halfwidth >= 0:  # inf is allowed: it clamps to half the gap
-        raise ConstraintError(f"blend_halfwidth must be >= 0, got {spec.blend_halfwidth}")
-    _require_amplitude(spec.jitter_amplitude, "jitter_amplitude")
-    require_integer(spec.seed, "seed")
-    if not spec.viseme_targets:
-        raise ConstraintError("need at least one viseme target")
-    times = [t for t, _ in spec.viseme_targets]
-    if not all(math.isfinite(t) for t in times):
-        raise ConstraintError(f"target times must be finite, got {times}")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConstraintError(f"target times must be strictly increasing, got {times}")
-    if times[0] < 0:
-        raise ConstraintError("target times must be nonnegative")
-    last_frame = times[-1] * spec.fps
-    if not (last_frame < _MAX_FRAMES and round(last_frame) + 1 <= _MAX_FRAMES):
-        raise ConstraintError(
-            f"last target time {times[-1]} at fps {spec.fps} needs more than "
-            f"{_MAX_FRAMES} frames, the most an MSQ file holds"
-        )
-    for _, shape_id in spec.viseme_targets:
-        if shape_id not in spec.shape_bank:
-            raise ConstraintError(f"shape id {shape_id!r} not found in shape bank")
-    for name, shape in spec.shape_bank.items():
-        if name == TRANSITION_LABEL:
-            raise ConstraintError(
-                f"shape id {name!r} is reserved: the annotation labels blend "
-                "frames with it"
-            )
-        arr = np.asarray(shape, dtype=np.float64)
-        if arr.shape != (spec.num_vertices, 3):
-            raise ConstraintError(
-                f"shape {name!r} has shape {arr.shape}, expected ({spec.num_vertices}, 3)"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConstraintError(f"shape {name!r} contains non-finite coordinates")
-
-
 def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     """Render a spec into a mesh sequence plus its segment annotation.
 
@@ -126,7 +129,6 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     Jitter (if any) is layered on afterwards via inject_jitter with the
     spec's seed, so the same spec always produces identical bytes.
     """
-    _validate_spec(spec)
     ids = [sid for _, sid in spec.viseme_targets]
     times = np.array([t for t, _ in spec.viseme_targets], dtype=np.float64)
     shapes = np.array([spec.shape_bank[sid] for sid in ids], dtype=np.float64)

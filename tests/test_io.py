@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from visemekit import io as vio
@@ -37,6 +39,7 @@ from visemekit import (
     read_text,
     read_mask,
     read_msq,
+    spec_hash,
     write_annotation,
     write_csv_report,
     write_loss_curve,
@@ -706,3 +709,74 @@ class TestTrainConfigText:
     def test_bad_value(self):
         with pytest.raises(FormatError, match="bad config value"):
             parse_train_config("steps = many\n")
+
+
+# the characters of the names and labels the texts carry verbatim
+NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
+
+
+def counts(lo, hi):
+    """Integers in [lo, hi], some given as integral floats (3.0 is a count)."""
+    return st.integers(lo, hi) | st.integers(lo, hi).map(float)
+
+
+@st.composite
+def synth_specs(draw):
+    num_vertices = draw(counts(1, 3))
+    names = draw(st.lists(
+        st.text(NAME_CHARS, min_size=1, max_size=6).filter(lambda n: n != "transition"),
+        min_size=1, max_size=3, unique=True,
+    ))
+    coords = st.floats(allow_nan=False, allow_infinity=False)
+    size = 3 * int(num_vertices)
+    bank = {
+        name: np.array(draw(st.lists(coords, min_size=size, max_size=size))).reshape(-1, 3)
+        for name in names
+    }
+    times = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4, unique=True)))
+    return SynthSpec(
+        num_vertices=num_vertices,
+        fps=draw(st.floats(0.5, 240.0)),
+        viseme_targets=tuple((t, draw(st.sampled_from(names))) for t in times),
+        shape_bank=bank,
+        blend_halfwidth=draw(st.floats(0.0, 10.0) | st.just(float("inf"))),
+        jitter_amplitude=draw(st.floats(0.0, 1.0)),
+        seed=draw(counts(0, 2**40)),
+        label=draw(st.none() | st.text(NAME_CHARS, max_size=8)),
+    )
+
+
+train_configs = st.builds(
+    TrainConfig,
+    loss_choice=st.sampled_from([LossKind.REC, LossKind.PC]),
+    vel_coefficient=st.floats(0.0, 1e6),
+    sigma=counts(0, 50),
+    learning_rate=st.floats(1e-12, 10.0),
+    steps=counts(0, 10**6),
+    seed=counts(0, 2**40),
+    num_basis=st.none() | counts(1, 500),
+)
+
+
+class TestTextRoundTrips:
+    @settings(max_examples=80, deadline=None)
+    @given(spec=synth_specs())
+    def test_synth_spec(self, spec):
+        text = format_synth_spec(spec)
+        assert format_synth_spec(parse_synth_spec(text)) == text
+
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=train_configs)
+    def test_train_config(self, cfg):
+        text = format_train_config(cfg)
+        assert parse_train_config(text) == cfg
+        assert format_train_config(parse_train_config(text)) == text
+
+    def test_integral_float_counts(self):
+        # a spec built with 2.0 and 3.0 is the spec built with 2 and 3
+        spec = two_shape_spec(num_vertices=2.0, seed=3.0)
+        text = format_synth_spec(spec)
+        assert "num_vertices = 2\n" in text and "seed = 3\n" in text
+        assert format_synth_spec(parse_synth_spec(text)) == text
+        assert spec_hash(spec) == spec_hash(two_shape_spec(num_vertices=2, seed=3))
+        assert type(spec.num_vertices) is int and type(spec.seed) is int

@@ -24,7 +24,7 @@ from visemekit import (
     make_corpus,
     spec_hash,
 )
-from visemekit.synth import TRANSITION_LABEL, _validate_spec
+from visemekit.synth import TRANSITION_LABEL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -190,12 +190,13 @@ class TestGenVisemeTrack:
 
     def test_frame_count_fits_the_msq_header(self):
         # round(t_last * fps) + 1 frames; an MSQ header counts them in a u32
+        # (building the spec checks it; nothing is rendered or allocated)
         fits = 2.0**32 - 2
-        _validate_spec(two_shape_spec(fps=1.0, viseme_targets=((0.0, "a"), (fits, "b"))))
-        _validate_spec(two_shape_spec(fps=1.0, viseme_targets=((fits + 0.5, "a"),)))
+        two_shape_spec(fps=1.0, viseme_targets=((0.0, "a"), (fits, "b")))
+        two_shape_spec(fps=1.0, viseme_targets=((fits + 0.5, "a"),))
         for last, fps in ((fits + 1, 1.0), (1e12, 30.0), (1e300, 30.0), (1e308, 10.0)):
             with pytest.raises(ConstraintError, match="MSQ"):
-                _validate_spec(two_shape_spec(fps=fps, viseme_targets=((0.0, "a"), (last, "b"))))
+                two_shape_spec(fps=fps, viseme_targets=((0.0, "a"), (last, "b")))
 
     def test_infinite_halfwidth_clamps_to_half_the_gap(self):
         wide, _ = gen_viseme_track(two_shape_spec(blend_halfwidth=float("inf")))
@@ -405,10 +406,10 @@ class TestMakeCorpus:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_bad_spec_writes_nothing(self, tmp_path):
-        # the good spec comes first: it is not rendered before the bad one is seen
-        bad = two_shape_spec(viseme_targets=((0.0, "a"), (1.0, "missing")))
+        # a bad spec is rejected when it is built, before make_corpus runs
         out = tmp_path / "corpus"
         with pytest.raises(ConstraintError, match="missing"):
+            bad = two_shape_spec(viseme_targets=((0.0, "a"), (1.0, "missing")))
             make_corpus([two_shape_spec(), bad], out)
         assert not out.exists()
         assert not list(tmp_path.rglob("track000.*"))
