@@ -24,7 +24,6 @@ from .coarticulation import (
     WindowSpec,
     central_difference,
     coarticulation_weights,
-    finite_difference_gradient,
     grad_loss_pc,
     grad_loss_rec,
     grad_loss_vel,
@@ -184,53 +183,47 @@ def cmd_gradcheck(args) -> int:
     require_integer(args.trials, "--trials", 1)
     require_integer(args.seed, "--seed")
     rng = np.random.default_rng(args.seed)
-    worst: dict[str, float] = {"rec": 0.0, "vel": 0.0, "pc": 0.0, "toy": 0.0}
+    worst = dict.fromkeys(("rec", "vel", "pc", "toy"), 0.0)
+    fps = 30.0
 
     for trial in range(args.trials):
         num_frames = int(rng.integers(3, 9))
         num_vertices = int(rng.integers(1, 5))
-        fps = 30.0
         gt = MeshSequence(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)), fps)
-        pred_frames = rng.normal(0.0, 1.0, (num_frames, num_vertices, 3))
-        pred = MeshSequence(pred_frames, fps)
+        pred = MeshSequence(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)), fps)
         sigma = int(rng.integers(0, 4))
         weights = coarticulation_weights(gt, WindowSpec(sigma))
-
-        cases = [
-            ("rec", grad_loss_rec(gt, pred), lambda g, p: loss_rec(g, p)),
-            ("vel", grad_loss_vel(gt, pred), lambda g, p: loss_vel(g, p)),
-            ("pc", grad_loss_pc(gt, pred, weights), lambda g, p: loss_pc(g, p, weights)),
-        ]
-        for name, analytic, fn in cases:
-            numeric = finite_difference_gradient(fn, gt, pred, step=args.step)
-            # np.maximum keeps a NaN error, which max() would drop
-            worst[name] = float(np.maximum(worst[name], relative_gradient_error(analytic, numeric)))
-
-        # the trainer's least-squares gradient against finite differences of
-        # the same losses evaluated on the toy model's basis prediction
         num_basis = int(rng.integers(1, num_frames))
         coef = rng.normal(0.0, 1.0, (num_basis, num_vertices, 3))
-        cfg = toytrain.TrainConfig(
-            loss_choice=LossKind.PC if trial % 2 else LossKind.REC,
-            vel_coefficient=0.3,
-            sigma=sigma,
-            steps=1,
-        )
-        _, analytic = toytrain.objective_and_gradient(gt, coef, cfg)
+        loss_choice = LossKind.PC if trial % 2 else LossKind.REC
+        cfg = toytrain.TrainConfig(loss_choice, vel_coefficient=0.3, sigma=sigma, steps=1)
         basis = toytrain.temporal_basis(num_frames, num_basis)
 
-        def direct(c):
-            pred = MeshSequence(np.tensordot(basis, c, axes=(1, 0)), fps)
-            if cfg.loss_choice is LossKind.PC:
-                frame_loss = loss_pc(gt, pred, weights)
-            else:
-                frame_loss = loss_rec(gt, pred)
-            return frame_loss.total + cfg.vel_coefficient * loss_vel(gt, pred).total
+        def of_frames(loss, *extra):  # a loss against gt, as a function of the frames
+            return lambda frames: loss(gt, MeshSequence(frames, fps), *extra).total
 
-        numeric = central_difference(direct, coef, args.step)
-        worst["toy"] = float(np.maximum(worst["toy"], relative_gradient_error(analytic, numeric)))
+        rec, vel, pc = of_frames(loss_rec), of_frames(loss_vel), of_frames(loss_pc, weights)
 
-    for name in ("rec", "vel", "pc", "toy"):
+        # the trainer's least-squares objective, as the same losses of the
+        # toy model's basis prediction
+        def toy(c):
+            frames = np.tensordot(basis, c, axes=(1, 0))
+            frame_loss = pc if cfg.loss_choice is LossKind.PC else rec
+            return frame_loss(frames) + cfg.vel_coefficient * vel(frames)
+
+        # name: (analytic gradient, scalar function of an array, point)
+        cases = {
+            "rec": (grad_loss_rec(gt, pred), rec, pred.frames),
+            "vel": (grad_loss_vel(gt, pred), vel, pred.frames),
+            "pc": (grad_loss_pc(gt, pred, weights), pc, pred.frames),
+            "toy": (toytrain.objective_and_gradient(gt, coef, cfg)[1], toy, coef),
+        }
+        for name, (analytic, f, x) in cases.items():
+            error = relative_gradient_error(analytic, central_difference(f, x, args.step))
+            # np.maximum keeps a NaN error, which max() would drop
+            worst[name] = float(np.maximum(worst[name], error))
+
+    for name in worst:
         print(f"{name}: worst relative error {worst[name]:.3e} over {args.trials} trials")
     overall = float(np.max(list(worst.values())))
     ok = overall <= args.tolerance  # False for a NaN error

@@ -37,7 +37,7 @@ __all__ = [
     "grad_loss_rec",
     "grad_loss_vel",
     "grad_loss_pc",
-    "finite_difference_gradient",
+    "central_difference",
     "relative_gradient_error",
 ]
 
@@ -115,6 +115,7 @@ def _window_energies(diffs: np.ndarray, sigma: int) -> np.ndarray:
     sum of its slice divided by the slice length; running-sum differences
     would lose precision to cancellation on long tracks.
     """
+    sigma = min(sigma, len(diffs))  # any radius >= T-1 spans all T-1 differences
     last = len(diffs) - 1
     frames = np.arange(last + 2)
     lo = np.clip(frames - sigma - 1, 0, last)
@@ -263,7 +264,10 @@ def grad_loss_pc(
 
 
 def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: float) -> np.ndarray:
-    """Central finite differences of a scalar function, per array element."""
+    """Central finite differences of a scalar function, per array element:
+    the one gradient oracle. A loss is checked as f(frames) = loss(gt,
+    MeshSequence(frames, fps)).total; for these quadratic losses the O(step^2)
+    truncation term vanishes and only rounding remains."""
     if not (math.isfinite(step) and step > 0):
         raise ConstraintError(f"step must be finite and positive, got {step}")
     x = np.asarray(x, dtype=np.float64)
@@ -277,28 +281,6 @@ def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: fl
         lo = f(probe.reshape(x.shape))
         flat[i] = (hi - lo) / (2.0 * step)
     return grad
-
-
-def finite_difference_gradient(
-    loss_fn: Callable[[MeshSequence, MeshSequence], "LossReport | float"],
-    gt: MeshSequence,
-    pred: MeshSequence,
-    step: float = 1e-4,
-) -> np.ndarray:
-    """Numerical gradient of a loss w.r.t. the predicted vertices.
-
-    `loss_fn(gt, pred)` may return either a float or a LossReport. Exact to
-    O(step^2); for the quadratic losses here the truncation term vanishes and
-    only rounding remains.
-    """
-
-    def evaluate(frames: np.ndarray) -> float:
-        value = loss_fn(gt, MeshSequence(frames, pred.fps))
-        if isinstance(value, LossReport):
-            return value.total
-        return float(value)
-
-    return central_difference(evaluate, pred.frames, step)
 
 
 def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the integer rule.
+"""Exception types shared across the package, the integer rule and the
+float32 rule.
 
 The CLI maps these onto exit codes: ConstraintError -> 1, FormatError -> 2.
 """
 
 import math
+
+import numpy as np
 
 __all__ = ["VisemekitError", "ConstraintError", "FormatError", "DivergenceError"]
 
@@ -32,8 +35,19 @@ class DivergenceError(ConstraintError):
 def require_integer(value, name: str, minimum: int = 0) -> int:
     """Return `value` as an int, or raise ConstraintError unless it is a
     finite integral number >= minimum (so 3.0 passes and 2.5 or nan fail).
-    Window radii, step and basis counts, seeds and CLI counts share it."""
-    if not math.isfinite(value) or int(value) != value or value < minimum:
+    Window radii, step and basis counts, seeds and CLI counts share it.
+    A Python int is taken as it is, however large."""
+    integral = isinstance(value, int) or (math.isfinite(value) and int(value) == value)
+    if not integral or value < minimum:
         bound = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ConstraintError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def require_float32(value: float, name: str) -> None:
+    """Raise ConstraintError if the positive `value` rounds to 0 or infinity
+    in float32, the precision the MSQ header stores fps in."""
+    with np.errstate(over="ignore"):  # the overflow is the error raised below
+        stored = np.float32(value)
+    if stored == 0 or np.isinf(stored):
+        raise ConstraintError(f"{name} {value} rounds to {stored} in the MSQ header's float32")

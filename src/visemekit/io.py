@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics
 from .coarticulation import CoarticulationWeights, LossKind, LossReport
-from .errors import ConstraintError, FormatError
+from .errors import ConstraintError, FormatError, require_float32
 from .mesh import MeshSequence, VertexRegionMask
 from .synth import SegmentAnnotation, SynthSpec, gen_viseme_track
 from .toytrain import AblationResult, TrainConfig
@@ -55,7 +55,8 @@ __all__ = [
 
 # Binary sequence container: magic, frame count u32, vertex count u32,
 # fps f32, then T*V*3 float64 coordinates frame-major. All little-endian.
-# fps is stored single precision; integral rates survive the round trip.
+# fps is stored single precision: integral rates survive the round trip, and a
+# rate that rounds to 0 or inf there is refused before the file is opened.
 _MSQ_MAGIC = b"MSQ1"
 _MSQ_HEADER = struct.Struct("<4sIIf")
 
@@ -76,6 +77,7 @@ def write_msq(seq: MeshSequence, path) -> None:
     frames = seq.frames
     if not np.isfinite(frames).all():
         raise ConstraintError("refusing to write non-finite coordinates")
+    require_float32(seq.fps, "fps")
     header = _MSQ_HEADER.pack(_MSQ_MAGIC, seq.num_frames, seq.num_vertices, seq.fps)
     with open(path, "wb") as handle:
         handle.write(header)

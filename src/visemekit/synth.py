@@ -16,14 +16,13 @@ from typing import Mapping
 import numpy as np
 
 from .coarticulation import WindowSpec, coarticulation_weights
-from .errors import ConstraintError, require_integer
+from .errors import ConstraintError, require_float32, require_integer
 from .mesh import MeshSequence
 
 __all__ = [
     "SynthSpec",
     "SegmentAnnotation",
     "gen_viseme_track",
-    "inject_jitter",
     "demo_spec",
 ]
 
@@ -31,6 +30,11 @@ TRANSITION_LABEL = "transition"
 # The MSQ header stores the frame count as a u32, so no longer track can be
 # written.
 _MAX_FRAMES = 2**32 - 1
+
+
+def _is_utf8_text(value) -> bool:
+    """Whether `value` is a str without lone surrogates, which UTF-8 cannot encode."""
+    return isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value)
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,12 @@ class SynthSpec:
     each crossfade in seconds (clamped to half the gap between anchors).
 
     Every field is checked here, once, and num_vertices and seed are stored
-    as ints. The bank's arrays are not copied, so a bank mutated after
-    construction is the caller's to keep valid, as with MeshSequence frames.
+    as ints. Shape ids and the label must be text the spec format carries
+    verbatim: an id is non-empty, without whitespace or '='; a label is one
+    line without leading or trailing whitespace; both encode to UTF-8. fps
+    must stay finite and nonzero in the MSQ header's float32. The bank's
+    arrays are not copied, so a bank mutated after construction is the
+    caller's to keep valid, as with MeshSequence frames.
     """
 
     num_vertices: int
@@ -63,9 +71,13 @@ class SynthSpec:
         object.__setattr__(self, "num_vertices", require_integer(self.num_vertices, "num_vertices"))
         if not math.isfinite(self.fps) or self.fps <= 0:
             raise ConstraintError(f"fps must be positive and finite, got {self.fps}")
+        require_float32(self.fps, "fps")
         if not self.blend_halfwidth >= 0:  # inf is allowed: it clamps to half the gap
             raise ConstraintError(f"blend_halfwidth must be >= 0, got {self.blend_halfwidth}")
-        _require_amplitude(self.jitter_amplitude, "jitter_amplitude")
+        if not 0 <= self.jitter_amplitude < math.inf:  # False for nan
+            raise ConstraintError(
+                f"jitter_amplitude must be finite and >= 0, got {self.jitter_amplitude}"
+            )
         object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if not self.viseme_targets:
             raise ConstraintError("need at least one viseme target")
@@ -86,6 +98,12 @@ class SynthSpec:
             if shape_id not in self.shape_bank:
                 raise ConstraintError(f"shape id {shape_id!r} not found in shape bank")
         for name, shape in self.shape_bank.items():
+            # a target line splits on whitespace and a shape line at its first
+            # '=', so an id is one field that holds neither
+            if not (_is_utf8_text(name) and name.split() == [name] and "=" not in name):
+                raise ConstraintError(
+                    f"shape id {name!r} must be non-empty UTF-8 text without whitespace or '='"
+                )
             if name == TRANSITION_LABEL:
                 raise ConstraintError(
                     f"shape id {name!r} is reserved: the annotation labels blend frames with it"
@@ -97,6 +115,11 @@ class SynthSpec:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ConstraintError(f"shape {name!r} contains non-finite coordinates")
+        label = self.label
+        if label is not None and not (_is_utf8_text(label) and label == label.strip()
+                                      and len(label.splitlines()) <= 1):
+            raise ConstraintError(f"label {label!r} must be one line of UTF-8 text "
+                                  "without leading or trailing whitespace")
 
 
 @dataclass(frozen=True)
@@ -111,11 +134,6 @@ class SegmentAnnotation:
         return np.array(self.labels, dtype=object) == TRANSITION_LABEL
 
 
-def _require_amplitude(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ConstraintError(f"{name} must be finite and >= 0, got {value}")
-
-
 def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     """Render a spec into a mesh sequence plus its segment annotation.
 
@@ -126,8 +144,9 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     one-target track sit on a flat end of the ramp. The labels come from the
     same alpha ("transition" while 0 < alpha < 1, else the shape it holds),
     and the high-motion flags from the clean render's windowed energy.
-    Jitter (if any) is layered on afterwards via inject_jitter with the
-    spec's seed, so the same spec always produces identical bytes.
+    Jitter (if the amplitude a > 0) is then added to the frames in place:
+    uniform noise in [-a, a] per coordinate from numpy's PCG64 stream seeded
+    with the spec's seed, so the same spec always produces identical bytes.
     """
     ids = [sid for _, sid in spec.viseme_targets]
     times = np.array([t for t, _ in spec.viseme_targets], dtype=np.float64)
@@ -145,8 +164,8 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
         ramp = 0.5 * (1.0 - np.cos(np.pi * (np.clip(u, lo, hi) - lo) / (hi - lo)))
     alpha = np.where(hi > lo, ramp, u >= mid)
     weight = alpha[:, None, None]
-    # blended in place, and blend is freed before the jitter, so a render
-    # holds at most two tracks at once
+    # blended in place, and blend is freed before the jitter's noise is drawn,
+    # so a render holds at most two tracks at once
     frames = shapes.take(seg, axis=0)
     frames *= 1.0 - weight
     blend = shapes.take(nxt, axis=0)
@@ -156,32 +175,19 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     choice = np.where(alpha == 0.0, seg, np.where(alpha == 1.0, nxt, last + 1))
     labels = tuple(np.array(ids + [TRANSITION_LABEL], dtype=object)[choice])
 
-    clean = MeshSequence(frames, spec.fps)
+    seq = MeshSequence(frames, spec.fps)  # shares frames: the jitter lands in seq
 
     if num_frames >= 2:
-        energy = coarticulation_weights(clean, WindowSpec()).raw_energy
+        energy = coarticulation_weights(seq, WindowSpec()).raw_energy
     else:
         energy = np.zeros(num_frames)
     # the median as np.median computes it, without its numpy.ma import
     median = np.sort(energy)[(num_frames - 1) // 2 : num_frames // 2 + 1].mean()
     annotation = SegmentAnnotation(labels, energy > median)
-    return inject_jitter(clean, spec.jitter_amplitude, spec.seed), annotation
-
-
-def inject_jitter(seq: MeshSequence, amplitude: float, seed: int) -> MeshSequence:
-    """Perturb every coordinate with uniform noise in [-amplitude, amplitude].
-
-    The noise comes from numpy's PCG64 stream seeded with `seed`, so repeat
-    calls are bitwise identical. Amplitude 0 returns the input unchanged.
-    """
-    _require_amplitude(amplitude, "jitter amplitude")
-    seed = require_integer(seed, "seed")
-    if amplitude == 0:
-        return seq
-    rng = np.random.default_rng(seed)
-    noise = rng.uniform(-amplitude, amplitude, size=seq.frames.shape)
-    noise += seq.frames
-    return MeshSequence(noise, seq.fps)
+    amplitude = spec.jitter_amplitude
+    if amplitude > 0:
+        frames += np.random.default_rng(spec.seed).uniform(-amplitude, amplitude, frames.shape)
+    return seq, annotation
 
 
 # -- a ready-made corpus recipe -------------------------------------------------

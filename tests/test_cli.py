@@ -66,6 +66,15 @@ class TestWeights:
         assert main(["weights", "--gt", gt, "--sigma", "1"]) == 0
         assert out.read_text() == capsys.readouterr().out
 
+    @pytest.mark.parametrize("sigma", [2**63, 2**70, 10**400])
+    def test_huge_radius_is_the_whole_track(self, tmp_path, capsys, sigma):
+        # every window of radius T-1 or more spans all T-1 differences
+        gt = msq(tmp_path, "gt.msq", np.random.default_rng(5).normal(0.0, 1.0, (7, 2, 3)))
+        assert main(["weights", "--gt", gt, "--sigma", "6"]) == 0
+        whole = capsys.readouterr().out
+        assert main(["weights", "--gt", gt, "--sigma", str(sigma)]) == 0
+        assert capsys.readouterr().out == whole
+
     def test_strict_infeasible(self, tmp_path, capsys):
         gt = msq(tmp_path, "gt.msq", MICRO_FRAMES)
         assert main(["weights", "--gt", gt, "--sigma", "2", "--policy", "strict"]) == 1
@@ -123,6 +132,17 @@ class TestLoss:
         assert main(["loss", "--gt", gt, "--pred", pred, "--kind", "rec"]) == 0
         rows = table(capsys.readouterr().out)
         assert rows[1:] == [["1", "0"], ["2", "1"], ["total", "1"]]
+
+    @pytest.mark.parametrize("sigma", [2**63, 2**70, 10**400])
+    def test_pc_huge_radius_is_the_whole_track(self, tmp_path, capsys, sigma):
+        rng = np.random.default_rng(6)
+        gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (7, 2, 3)))
+        pred = msq(tmp_path, "pred.msq", rng.normal(0.0, 1.0, (7, 2, 3)))
+        args = ["loss", "--gt", gt, "--pred", pred, "--kind", "pc", "--sigma"]
+        assert main(args + ["6"]) == 0
+        whole = capsys.readouterr().out
+        assert main(args + [str(sigma)]) == 0
+        assert capsys.readouterr().out == whole
 
     def test_shape_mismatch(self, tmp_path, capsys):
         gt = msq(tmp_path, "gt.msq", np.zeros((2, 1, 3)))
@@ -261,6 +281,17 @@ class TestGen:
         spec.write_text(SPEC_TEXT.replace("fps = 10.0", f"fps = {fps}"))
         assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert "fps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fps", ["1e39", "1e-50"])
+    def test_fps_beyond_float32(self, tmp_path, capsys, fps):
+        # the MSQ header stores fps as float32, where these are inf and 0.0
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"num_vertices = 1\nfps = {fps}\nshape.a = 1 2 3\ntarget = 0 a\n")
+        out = tmp_path / "o"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fps ") and err.count("\n") == 1 and "float32" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -140,6 +140,20 @@ class TestMsq:
         bad[0, 0, 0] = np.inf
         with pytest.raises(ConstraintError):
             write_msq(MeshSequence(bad, 30.0), path)
+
+    @pytest.mark.parametrize("fps", [1e39, 3.4028235677973366e38, 1e-50, 2.0**-150])
+    def test_write_rejects_fps_beyond_float32(self, tmp_path, fps):
+        # float32 rounds these to inf or 0.0, which no header may declare
+        path = tmp_path / "a.msq"
+        with pytest.raises(ConstraintError, match="float32"):
+            write_msq(seq(np.zeros((2, 1, 3)), fps=fps), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fps", [3.4028234663852886e38, 2.0**-149])
+    def test_extreme_float32_fps_round_trip(self, tmp_path, fps):
+        path = tmp_path / "a.msq"
+        write_msq(seq(np.zeros((2, 1, 3)), fps=fps), path)
+        assert read_msq(path).fps == fps
 
 
 def traced_peak(fn):
@@ -711,10 +725,6 @@ class TestTrainConfigText:
             parse_train_config("steps = many\n")
 
 
-# the characters of the names and labels the texts carry verbatim
-NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
-
-
 def counts(lo, hi):
     """Integers in [lo, hi], some given as integral floats (3.0 is a count)."""
     return st.integers(lo, hi) | st.integers(lo, hi).map(float)
@@ -722,11 +732,10 @@ def counts(lo, hi):
 
 @st.composite
 def synth_specs(draw):
+    """Specs with shape names and labels drawn from any text, kept only when
+    SynthSpec accepts them."""
     num_vertices = draw(counts(1, 3))
-    names = draw(st.lists(
-        st.text(NAME_CHARS, min_size=1, max_size=6).filter(lambda n: n != "transition"),
-        min_size=1, max_size=3, unique=True,
-    ))
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True))
     coords = st.floats(allow_nan=False, allow_infinity=False)
     size = 3 * int(num_vertices)
     bank = {
@@ -734,7 +743,7 @@ def synth_specs(draw):
         for name in names
     }
     times = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4, unique=True)))
-    return SynthSpec(
+    fields = dict(
         num_vertices=num_vertices,
         fps=draw(st.floats(0.5, 240.0)),
         viseme_targets=tuple((t, draw(st.sampled_from(names))) for t in times),
@@ -742,8 +751,12 @@ def synth_specs(draw):
         blend_halfwidth=draw(st.floats(0.0, 10.0) | st.just(float("inf"))),
         jitter_amplitude=draw(st.floats(0.0, 1.0)),
         seed=draw(counts(0, 2**40)),
-        label=draw(st.none() | st.text(NAME_CHARS, max_size=8)),
+        label=draw(st.none() | st.text(max_size=8)),
     )
+    try:
+        return SynthSpec(**fields)
+    except ConstraintError:
+        reject()
 
 
 train_configs = st.builds(
@@ -763,7 +776,12 @@ class TestTextRoundTrips:
     @given(spec=synth_specs())
     def test_synth_spec(self, spec):
         text = format_synth_spec(spec)
-        assert format_synth_spec(parse_synth_spec(text)) == text
+        parsed = parse_synth_spec(text)
+        assert format_synth_spec(parsed) == text
+        assert spec_hash(parsed) == spec_hash(spec)
+        assert parsed.label == spec.label
+        assert parsed.viseme_targets == spec.viseme_targets
+        assert sorted(parsed.shape_bank) == sorted(spec.shape_bank)
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=train_configs)
@@ -771,6 +789,39 @@ class TestTextRoundTrips:
         text = format_train_config(cfg)
         assert parse_train_config(text) == cfg
         assert format_train_config(parse_train_config(text)) == text
+
+    def test_label_cannot_carry_a_shape_line(self):
+        # the label's second line read back as a shape, so this spec formatted
+        # and hashed as the one whose bank holds that shape
+        fields = dict(num_vertices=1, fps=10.0, viseme_targets=((0.0, "b"),))
+        zeros = np.zeros((1, 3))
+        honest = SynthSpec(shape_bank={"a": zeros, "b": zeros}, label="x", **fields)
+        with pytest.raises(ConstraintError, match="label"):
+            SynthSpec(shape_bank={"b": zeros}, label="x\nshape.a = 0.0 0.0 0.0", **fields)
+        parsed = parse_synth_spec(format_synth_spec(honest))
+        assert (parsed.label, sorted(parsed.shape_bank)) == ("x", ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "name", ["", "a ", " a", "a b", "a\tb", "a\u2028b", "a=b", "\ud800", 7]
+    )
+    def test_shape_ids_the_text_cannot_carry(self, name):
+        with pytest.raises(ConstraintError, match="shape id"):
+            SynthSpec(num_vertices=1, fps=10.0, viseme_targets=((0.0, "b"),),
+                      shape_bank={"b": np.zeros((1, 3)), name: np.zeros((1, 3))})
+
+    @pytest.mark.parametrize(
+        "label", ["x\n", " x", "x ", "a\nb", "a\rb", "a\u2028b", "\ud800", 5]
+    )
+    def test_labels_the_text_cannot_carry(self, label):
+        with pytest.raises(ConstraintError, match="label"):
+            SynthSpec(num_vertices=1, fps=10.0, viseme_targets=((0.0, "b"),),
+                      shape_bank={"b": np.zeros((1, 3))}, label=label)
+
+    def test_shape_name_with_a_tab_is_rejected(self):
+        # the parser takes the name, but no target line could name it
+        text = "num_vertices = 1\nfps = 10\nshape.a\tb = 0 0 0\nshape.c = 0 0 0\ntarget = 0 c\n"
+        with pytest.raises(ConstraintError, match="without whitespace"):
+            parse_synth_spec(text)
 
     def test_integral_float_counts(self):
         # a spec built with 2.0 and 3.0 is the spec built with 2 and 3

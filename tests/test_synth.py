@@ -20,7 +20,6 @@ from visemekit import (
     demo_spec,
     frame_difference_norms,
     gen_viseme_track,
-    inject_jitter,
     make_corpus,
     spec_hash,
 )
@@ -206,17 +205,18 @@ class TestGenVisemeTrack:
 
 def _render_like_loop(spec):
     """What gen_viseme_track must return for `spec`, built on the loop
-    oracle: its clean frames, jittered the same way, its labels, and the
-    flags of above-median windowed energy of the clean frames."""
+    oracle: its clean frames plus uniform noise in [-a, a] drawn from numpy's
+    PCG64 stream seeded with the spec's seed (when a > 0), its labels, and
+    the flags of above-median windowed energy of the clean frames."""
     frames, labels = oracles.render_loop(spec)
     clean = MeshSequence(frames, spec.fps)
     energy = np.zeros(clean.num_frames)
     if clean.num_frames >= 2:
         energy = coarticulation_weights(clean, WindowSpec()).raw_energy
-    track = clean
-    if spec.jitter_amplitude > 0:
-        track = inject_jitter(clean, spec.jitter_amplitude, spec.seed)
-    return track.frames, labels, energy > np.median(energy)
+    a = spec.jitter_amplitude
+    if a > 0:
+        frames = frames + np.random.default_rng(spec.seed).uniform(-a, a, frames.shape)
+    return frames, labels, energy > np.median(energy)
 
 
 def assert_matches_loop(spec):
@@ -339,21 +339,35 @@ class TestRenderMatchesLoop:
 
 
 class TestInjectJitter:
+    """The jitter gen_viseme_track adds to its render, and SynthSpec's checks
+    of the jitter amplitude and seed."""
+
     def test_zero_amplitude_is_identity(self):
-        seq = MeshSequence(np.ones((3, 2, 3)), 30.0)
-        assert inject_jitter(seq, 0.0, seed=1) is seq
+        seq, _ = gen_viseme_track(two_shape_spec(jitter_amplitude=0.0, seed=1))
+        other_seed, _ = gen_viseme_track(two_shape_spec(jitter_amplitude=0.0, seed=2))
+        frames, _ = oracles.render_loop(two_shape_spec())
+        assert seq.frames.tobytes() == frames.tobytes()
+        assert other_seed.frames.tobytes() == frames.tobytes()
 
     def test_deterministic(self):
-        seq = MeshSequence(np.zeros((4, 3, 3)), 30.0)
-        a = inject_jitter(seq, 0.1, seed=42)
-        b = inject_jitter(seq, 0.1, seed=42)
-        assert np.asarray(a.frames).tobytes() == np.asarray(b.frames).tobytes()
+        a, _ = gen_viseme_track(two_shape_spec(jitter_amplitude=0.1, seed=42))
+        b, _ = gen_viseme_track(two_shape_spec(jitter_amplitude=0.1, seed=42))
+        c, _ = gen_viseme_track(two_shape_spec(jitter_amplitude=0.1, seed=43))
+        assert a.frames.tobytes() == b.frames.tobytes()
+        assert a.frames.tobytes() != c.frames.tobytes()
 
     def test_bounded_and_centered(self):
-        # >= 1e5 samples: 200 frames x 170 vertices x 3 coords
-        seq = MeshSequence(np.zeros((200, 170, 3)), 30.0)
-        noisy = inject_jitter(seq, 0.1, seed=3)
-        noise = np.asarray(noisy.frames)
+        # a constant all-zero track, so the render is the noise: >= 1e5
+        # samples, 200 frames x 170 vertices x 3 coords
+        spec = SynthSpec(
+            num_vertices=170,
+            fps=1.0,
+            viseme_targets=((0.0, "rest"), (199.0, "rest")),
+            shape_bank={"rest": np.zeros((170, 3))},
+            jitter_amplitude=0.1,
+            seed=3,
+        )
+        noise = gen_viseme_track(spec)[0].frames
         n = noise.size
         assert n >= 1e5
         assert np.max(np.abs(noise)) <= 0.1
@@ -361,21 +375,18 @@ class TestInjectJitter:
         assert abs(noise.mean()) <= 3 * 0.1 / np.sqrt(3 * n)
 
     def test_negative_amplitude(self):
-        seq = MeshSequence(np.zeros((2, 1, 3)), 30.0)
         with pytest.raises(ConstraintError):
-            inject_jitter(seq, -0.5, seed=0)
+            two_shape_spec(jitter_amplitude=-0.5)
 
     @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
     def test_non_finite_amplitude(self, amplitude):
-        seq = MeshSequence(np.zeros((2, 1, 3)), 30.0)
         with pytest.raises(ConstraintError, match="amplitude"):
-            inject_jitter(seq, amplitude, seed=0)
+            two_shape_spec(jitter_amplitude=amplitude)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, float("nan")])
     def test_bad_seed(self, seed):
-        seq = MeshSequence(np.zeros((2, 1, 3)), 30.0)
         with pytest.raises(ConstraintError, match="seed"):
-            inject_jitter(seq, 0.1, seed=seed)
+            two_shape_spec(jitter_amplitude=0.1, seed=seed)
 
 
 class TestMakeCorpus:
