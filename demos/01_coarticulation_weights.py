@@ -7,7 +7,7 @@ it, and the held frames share what is left.
 
 import numpy as np
 
-from visemekit import BoundaryPolicy, MeshSequence, WindowSpec, coarticulation_weights
+from visemekit import MeshSequence, WindowSpec, coarticulation_weights
 
 # one vertex, 12 frames: closed for 5 frames, open for the rest
 frames = np.zeros((12, 1, 3))
@@ -21,17 +21,13 @@ for i in range(track.num_frames):
     print(f"{i + 1:5d}  {weights.raw_energy[i]:10.4f}  {weights.weights[i]:.4f}{marker}")
 print(f"sum of weights: {weights.weights.sum():.12f}")
 
-# a wider window spreads the energy, a colder softmax sharpens the peak
+# a wider window spreads the energy
 for sigma in (1, 2, 4):
     w = coarticulation_weights(track, WindowSpec(sigma))
     print(f"sigma={sigma}: peak weight {w.weights.max():.4f} at frame {w.weights.argmax() + 1}")
-for temperature in (0.5, 1.0, 2.0):
-    w = coarticulation_weights(track, WindowSpec(2), temperature=temperature)
-    print(f"temperature={temperature}: peak weight {w.weights.max():.4f}")
 
-# strict boundary handling refuses frames whose window would leave the track
-strict = coarticulation_weights(track, WindowSpec(2, BoundaryPolicy.STRICT))
-print(
-    f"strict: {len(strict)} weights starting at frame {strict.frame_start + 1} "
-    f"(clamp covered all {track.num_frames})"
-)
+# the softmax takes the energies unscaled; they are squared step lengths, so
+# scaling the coordinates by c scales them by c^2 and sharpens the peak
+for scale in (0.5, 1.0, 2.0):
+    w = coarticulation_weights(MeshSequence(frames * scale, fps=30.0), WindowSpec(2))
+    print(f"coordinates x{scale}: peak weight {w.weights.max():.4f}")

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import io, metrics, toytrain
 from .coarticulation import (
-    BoundaryPolicy,
     LossKind,
     WindowSpec,
     central_difference,
@@ -65,9 +64,7 @@ def _load_annotation(path: str | None):
 
 
 def cmd_weights(args) -> int:
-    seq = io.read_msq(args.gt)
-    window = WindowSpec(args.sigma, BoundaryPolicy(args.policy))
-    weights = coarticulation_weights(seq, window, temperature=args.temperature)
+    weights = coarticulation_weights(io.read_msq(args.gt), WindowSpec(args.sigma))
     _emit(weights, args.out)
     return 0
 
@@ -246,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="coarticulation weights of a sequence")
     p.add_argument("--gt", required=True, help="MSQ sequence")
     p.add_argument("--sigma", type=int, default=2, help="window radius (default 2)")
-    p.add_argument("--policy", choices=["clamp", "strict"], default="clamp")
-    p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_weights)
 

@@ -24,12 +24,10 @@ from .errors import ConstraintError, require_integer
 from .mesh import MeshSequence, _row_blocks, frame_difference_norms, require_same_shape
 
 __all__ = [
-    "BoundaryPolicy",
     "WindowSpec",
     "CoarticulationWeights",
     "LossKind",
     "LossReport",
-    "strict_frame_range",
     "coarticulation_weights",
     "loss_rec",
     "loss_vel",
@@ -42,25 +40,11 @@ __all__ = [
 ]
 
 
-class BoundaryPolicy(Enum):
-    """How windows behave near the ends of the sequence.
-
-    CLAMP truncates the window into the range where frame differences exist,
-    so every frame 0..T-1 gets an energy. STRICT only accepts frames whose
-    window lies entirely inside the sequence and errors elsewhere; it exists
-    to check the untruncated definition on interior frames.
-    """
-
-    CLAMP = "clamp"
-    STRICT = "strict"
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Temporal window: radius sigma (window size 2*sigma + 1, default 5)."""
 
     sigma: int = 2
-    policy: BoundaryPolicy = BoundaryPolicy.CLAMP
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", require_integer(self.sigma, "window radius"))
@@ -70,19 +54,13 @@ class WindowSpec:
 class CoarticulationWeights:
     """Per-frame weights (softmax of windowed motion energy) plus diagnostics.
 
-    weights[i] and raw_energy[i] describe frame frame_start + i; frame_start
-    is 0 under CLAMP and the first feasible frame under STRICT. Weights are
-    positive and sum to 1 over the covered frames.
+    weights[t] and raw_energy[t] describe frame t of the sequence, every
+    frame 0..T-1. Weights are positive and sum to 1.
     """
 
     weights: np.ndarray
     raw_energy: np.ndarray
     sigma: int
-    policy: BoundaryPolicy = BoundaryPolicy.CLAMP
-    frame_start: int = 0
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 class LossKind(Enum):
@@ -107,13 +85,14 @@ class LossReport:
 # -- windowed motion energy --------------------------------------------------
 
 def _window_energies(diffs: np.ndarray, sigma: int) -> np.ndarray:
-    """CLAMP-policy energy of every frame 0..T-1, from the T-1 step norms.
+    """Windowed energy of every frame 0..T-1, from the T-1 step norms.
 
     Difference j covers the step from frame j to j+1. Frame f's window spans
     differences f-sigma-1 .. f+sigma-1 with both ends clamped into the
-    feasible range [0, T-2], so it is never empty. Each energy is the exact
-    sum of its slice divided by the slice length; running-sum differences
-    would lose precision to cancellation on long tracks.
+    feasible range [0, T-2], so it is never empty; an interior frame's window
+    is never clamped. Each energy is the exact sum of its slice divided by
+    the slice length; running-sum differences would lose precision to
+    cancellation on long tracks.
     """
     sigma = min(sigma, len(diffs))  # any radius >= T-1 spans all T-1 differences
     last = len(diffs) - 1
@@ -139,48 +118,21 @@ def _softmax(values: np.ndarray) -> np.ndarray:
     return ex / ex.sum()
 
 
-def strict_frame_range(sigma: int, num_frames: int) -> tuple[int, int]:
-    """First and one-past-last frame coverable under the STRICT policy."""
-    start = max(sigma, 1)  # frame 0 with sigma=0 has no prior frame
-    stop = num_frames - sigma
-    if start >= stop:
-        raise ConstraintError(
-            f"strict policy infeasible: sigma={sigma} needs T >= {2 * sigma + 1} "
-            f"frames, got T={num_frames}"
-        )
-    return start, stop
-
-
 def coarticulation_weights(
-    gt: MeshSequence,
-    window: WindowSpec = WindowSpec(),
-    temperature: float = 1.0,
+    gt: MeshSequence, window: WindowSpec = WindowSpec()
 ) -> CoarticulationWeights:
-    """Softmax-normalized windowed motion energies of a ground-truth sequence.
+    """Softmax-normalized windowed motion energies of every frame of a
+    ground-truth sequence. Energy that is not finite is a ConstraintError.
 
-    Under CLAMP every frame 0..T-1 is covered. Under STRICT only the feasible
-    interior frames are, and `frame_start` records the offset. `temperature`
-    divides the raw energies before the softmax; the default 1.0 is the
-    canonical behavior. A quotient that is not finite is a ConstraintError.
+    The softmax takes the energies unscaled: scaling the coordinates by c
+    scales every energy by c^2, so a larger scale sharpens the weights.
     """
     with np.errstate(over="ignore"):  # a squared step that overflows is the error raised below
         diffs = frame_difference_norms(gt)
-    num_frames = len(diffs) + 1
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ConstraintError(f"temperature must be finite and positive, got {temperature}")
-
-    # A STRICT window never reaches a clamped end, so it equals the CLAMP one.
-    start, stop = 0, num_frames
-    if window.policy is BoundaryPolicy.STRICT:
-        start, stop = strict_frame_range(window.sigma, num_frames)
-    raw = _window_energies(diffs, window.sigma)[start:stop]
-
-    with np.errstate(over="ignore"):  # an overflow is the error raised below
-        scaled = raw / temperature
-    if not np.isfinite(scaled).all():
-        raise ConstraintError("motion energy over the temperature is not finite")
-    weights = _softmax(scaled)
-    return CoarticulationWeights(weights, raw, window.sigma, window.policy, start)
+    raw = _window_energies(diffs, window.sigma)
+    if not np.isfinite(raw).all():
+        raise ConstraintError("motion energy is not finite")
+    return CoarticulationWeights(_softmax(raw), raw, window.sigma)
 
 
 # -- losses ------------------------------------------------------------------
@@ -209,11 +161,10 @@ def loss_vel(gt: MeshSequence, pred: MeshSequence) -> LossReport:
 
 
 def _check_weights(weights: CoarticulationWeights, num_frames: int) -> None:
-    if weights.frame_start != 0 or len(weights.weights) != num_frames:
+    if len(weights.weights) != num_frames:
         raise ConstraintError(
-            f"weights cover frames [{weights.frame_start}, "
-            f"{weights.frame_start + len(weights.weights)}) but the sequence has "
-            f"{num_frames} frames; the weighted loss needs full coverage"
+            f"weights cover {len(weights.weights)} frames but the sequence has "
+            f"{num_frames}; the weighted loss needs one weight per frame"
         )
 
 
@@ -221,7 +172,7 @@ def loss_pc(gt: MeshSequence, pred: MeshSequence, weights: CoarticulationWeights
     """Coarticulation-weighted reconstruction loss.
 
     Each frame's squared vertex error is scaled by its viseme coarticulation
-    weight, which must cover every frame of `gt` (CLAMP weights of `gt`).
+    weight, one per frame of `gt` (the coarticulation weights of `gt`).
     """
     errors = _per_frame_sq_error(gt, pred)
     _check_weights(weights, len(errors))

@@ -139,6 +139,8 @@ def read_mask(path) -> VertexRegionMask:
             raise FormatError(f"{path}:{lineno}: not an index: {body!r}") from None
         if index < 0:
             raise FormatError(f"{path}:{lineno}: negative index {index}")
+        if index > np.iinfo(np.int64).max:  # the mask's int64 array would wrap it
+            raise ConstraintError(f"{path}:{lineno}: index {index} out of range")
         indices.add(index)
     if not indices:
         raise FormatError(f"{path}: mask has no indices")
@@ -252,11 +254,7 @@ def format_csv_report(report) -> str:
         table = _table_text(["t", "loss"], first_t, [report.per_frame])
         return table + _csv_text([["total", _fmt(report.total)]])
     if isinstance(report, CoarticulationWeights):
-        return _table_text(
-            ["t", "raw_energy", "weight"],
-            report.frame_start + 1,
-            [report.raw_energy, report.weights],
-        )
+        return _table_text(["t", "raw_energy", "weight"], 1, [report.raw_energy, report.weights])
     raise TypeError(f"no CSV layout for {type(report).__name__}")
 
 

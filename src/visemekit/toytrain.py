@@ -87,6 +87,8 @@ class TrainConfig:
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
         object.__setattr__(self, "steps", require_integer(self.steps, "steps"))
+        if 8 * self.steps > np.iinfo(np.intp).max:  # fit's float64 loss curve
+            raise ConstraintError(f"steps {self.steps} is too many: no array can hold its loss curve")
         object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if self.num_basis is not None:
             object.__setattr__(self, "num_basis", require_integer(self.num_basis, "num_basis", 1))
@@ -116,7 +118,8 @@ def _least_squares(
     coefficients C (K, 3V) is f(C) = ||A C - b||^2 with A = sqrt(w) B and
     b = sqrt(w) Y. When vel_coefficient mu > 0, sqrt(mu) D B is stacked under
     A and sqrt(mu) D Y under b, with the first-difference operator D. The
-    weights are the CLAMP weights of `gt`, so (A, b) is fixed for a whole fit.
+    weights are the coarticulation weights of `gt`, so (A, b) is fixed for a
+    whole fit.
     """
     targets = gt.frames.reshape(gt.num_frames, -1)
     w = weights.weights if cfg.loss_choice is LossKind.PC else np.ones(gt.num_frames)

@@ -75,31 +75,30 @@ class TestWeights:
         assert main(["weights", "--gt", gt, "--sigma", str(sigma)]) == 0
         assert capsys.readouterr().out == whole
 
-    def test_strict_infeasible(self, tmp_path, capsys):
-        gt = msq(tmp_path, "gt.msq", MICRO_FRAMES)
-        assert main(["weights", "--gt", gt, "--sigma", "2", "--policy", "strict"]) == 1
-        assert "strict policy infeasible" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("temperature", ["nan", "inf"])
-    def test_non_finite_temperature(self, tmp_path, capsys, temperature):
+    @pytest.mark.parametrize(
+        "option", [["--policy", "strict"], ["--temperature", "2"]], ids=["policy", "temperature"]
+    )
+    def test_removed_options(self, tmp_path, capsys, option):
         gt = msq(tmp_path, "gt.msq", MICRO_FRAMES)
         out = tmp_path / "w.csv"
-        code = main(["weights", "--gt", gt, "--temperature", temperature, "--out", str(out)])
-        assert code == 1
-        assert "temperature" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "--gt", gt, *option, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: visemekit")
+        assert f"error: unrecognized arguments: {' '.join(option)}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale, temperature", [(1.0, "1e-310"), (1e200, "1")])
-    def test_non_finite_energy_over_temperature(self, tmp_path, capsys, scale, temperature):
-        """A tiny temperature, or steps whose squared norms overflow, would
-        softmax into nan weights; both are errors instead."""
-        frames = np.random.default_rng(12).normal(0.0, scale, (12, 2, 3))
+    def test_non_finite_energy(self, tmp_path, capsys):
+        """Steps whose squared norms overflow would softmax into nan weights;
+        they are an error instead."""
+        frames = np.random.default_rng(12).normal(0.0, 1e200, (12, 2, 3))
         gt = msq(tmp_path, "gt.msq", frames)
         out = tmp_path / "w.csv"
-        code = main(["weights", "--gt", gt, "--temperature", temperature, "--out", str(out)])
+        code = main(["weights", "--gt", gt, "--out", str(out)])
         assert code == 1
         # the error line only: no numpy overflow warning from squaring the steps
-        assert capsys.readouterr().err == "error: motion energy over the temperature is not finite\n"
+        assert capsys.readouterr().err == "error: motion energy is not finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
@@ -194,6 +193,24 @@ class TestMetrics:
         lips = tmp_path / "lips.txt"
         lips.write_text("7\n")
         assert main(["metrics", "--gt", gt, "--pred", gt, "--lips", str(lips)]) == 1
+
+    @pytest.mark.parametrize("command", ["metrics", "train", "ablate"])
+    @pytest.mark.parametrize("index", [2**63, 2**64 - 1, 10**22])
+    def test_mask_index_beyond_int64(self, tmp_path, capsys, command, index):
+        # an int64 array would wrap 2**63 negative and refuse 10**22 with an
+        # OverflowError traceback
+        gt = msq(tmp_path, "gt.msq", np.zeros((4, 2, 3)))
+        lips = tmp_path / "lips.txt"
+        lips.write_text(f"0\n{index}\n")
+        out = tmp_path / "run"
+        argv = {
+            "metrics": ["metrics", "--gt", gt, "--pred", gt, "--lips", str(lips)],
+            "train": ["train", "--gt", gt, "--out", str(out), "--lips", str(lips)],
+            "ablate": ["ablate", "--gt", gt, "--lips", str(lips), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {lips}:2: index {index} out of range\n")
+        assert not out.exists()
 
 
 SPEC_TEXT = """\
@@ -490,6 +507,21 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 1
         assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("steps", [2**62, 2**63, 2**70])
+    def test_steps_beyond_any_loss_curve(self, tmp_path, capsys, command, steps):
+        # numpy cannot size a float64 curve of 8*steps bytes above intp's max
+        gt = msq(tmp_path, "gt.msq", np.zeros((8, 1, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"steps = {steps}\nnum_basis = 2\n")
+        out = tmp_path / "run"
+        argv = [command, "--gt", gt, "--out", str(out), "--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: steps {steps} is too many: no array can hold its loss curve\n"
+        )
         assert not out.exists()
 
     def test_divergence_names_the_stability_ratio(self, tmp_path, capsys):

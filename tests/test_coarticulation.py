@@ -7,7 +7,6 @@ import oracles
 from visemekit import mesh
 from visemekit.errors import require_integer
 from visemekit import (
-    BoundaryPolicy,
     CoarticulationWeights,
     ConstraintError,
     LossKind,
@@ -22,7 +21,6 @@ from visemekit import (
     loss_rec,
     loss_vel,
     relative_gradient_error,
-    strict_frame_range,
 )
 
 # 1-based frames (0,0,0), (1,0,0), (1,0,0): step norms 1 then 0, so with
@@ -41,7 +39,7 @@ def rand_seq(rng, num_frames, num_vertices):
 class TestWindowSpec:
     def test_defaults(self):
         w = WindowSpec()
-        assert w.sigma == 2 and w.policy is BoundaryPolicy.CLAMP
+        assert w.sigma == 2
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ConstraintError):
@@ -54,9 +52,8 @@ class TestWindowSpec:
 
 def energies(s, window=WindowSpec()):
     """Windowed motion energy by 0-based frame, as coarticulation_weights
-    reports it: raw_energy[i] belongs to frame frame_start + i."""
-    w = coarticulation_weights(s, window)
-    return {w.frame_start + i: e for i, e in enumerate(w.raw_energy)}
+    reports it."""
+    return coarticulation_weights(s, window).raw_energy
 
 
 class TestMotionEnergy:
@@ -74,12 +71,8 @@ class TestMotionEnergy:
         frames = np.zeros((6, 2, 3))
         frames[:, :, 0] = t[:, None] * 0.5  # step norm^2 = 2 * 0.25 = 0.5
         s = seq(frames)
-        clamp = energies(s, WindowSpec(2))
-        for frame in range(6):
-            assert clamp[frame] == pytest.approx(0.5)
-        strict = energies(s, WindowSpec(2, BoundaryPolicy.STRICT))
-        for frame in range(2, 4):
-            assert strict[frame] == pytest.approx(0.5)
+        # clamped windows at the ends and whole ones inside alike
+        assert energies(s, WindowSpec(2)) == pytest.approx([0.5] * 6)
 
     def test_matches_clamp_oracle(self):
         rng = np.random.default_rng(11)
@@ -93,26 +86,16 @@ class TestMotionEnergy:
                 assert got[frame] == pytest.approx(expected, rel=1e-12)
 
     def test_strict_matches_oracle_on_interior(self):
+        # an interior frame's window is never clamped, so it matches the
+        # untruncated definition
         rng = np.random.default_rng(12)
         frames = rng.normal(0.0, 1.0, (9, 2, 3))
         s = seq(frames)
         for sigma in (1, 2, 3):
-            got = energies(s, WindowSpec(sigma, BoundaryPolicy.STRICT))
+            got = energies(s, WindowSpec(sigma))
             for frame in range(sigma, 9 - sigma):
                 expected = oracles.window_energy_strict(frames.tolist(), frame + 1, sigma)
                 assert got[frame] == pytest.approx(expected, rel=1e-12)
-
-    def test_strict_outside_domain(self):
-        # frames 0 and 5 of a 6-frame track have no full sigma=2 window
-        w = coarticulation_weights(seq(np.zeros((6, 1, 3))), WindowSpec(2, BoundaryPolicy.STRICT))
-        assert (w.frame_start, w.frame_start + len(w.raw_energy)) == strict_frame_range(2, 6)
-        assert (w.frame_start, len(w.raw_energy)) == (2, 2)
-
-    def test_strict_empty_window(self):
-        # sigma=0 at the first frame: the only candidate step predates the sequence
-        w = coarticulation_weights(seq(np.zeros((4, 1, 3))), WindowSpec(0, BoundaryPolicy.STRICT))
-        assert (w.frame_start, w.frame_start + len(w.raw_energy)) == strict_frame_range(0, 4)
-        assert (w.frame_start, len(w.raw_energy)) == (1, 3)
 
     def test_needs_two_frames(self):
         with pytest.raises(ConstraintError):
@@ -141,8 +124,7 @@ class TestCoarticulationWeights:
     def test_normalization_property(self, seed, num_frames, num_vertices, sigma):
         rng = np.random.default_rng(seed)
         w = coarticulation_weights(rand_seq(rng, num_frames, num_vertices), WindowSpec(sigma))
-        assert len(w) == num_frames
-        assert w.frame_start == 0
+        assert len(w.weights) == len(w.raw_energy) == num_frames
         assert abs(w.weights.sum() - 1.0) <= 1e-9
         assert np.all(w.weights > 0)
 
@@ -170,14 +152,6 @@ class TestCoarticulationWeights:
         b = coarticulation_weights(shifted).weights
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_strict_covers_interior_with_offset(self):
-        rng = np.random.default_rng(7)
-        s = rand_seq(rng, 9, 2)
-        w = coarticulation_weights(s, WindowSpec(2, BoundaryPolicy.STRICT))
-        assert w.frame_start == 2
-        assert len(w) == 5  # frames 2..6 of 0..8
-        assert abs(w.weights.sum() - 1.0) <= 1e-9
-
     def test_raw_energy_matches_oracles_both_policies(self):
         # T up to 40 and sigma up to 8 reach partial boundary windows of width
         # >= 9, where numpy's summation order differs from a plain loop
@@ -192,18 +166,13 @@ class TestCoarticulationWeights:
                     for t1 in range(1, num_frames + 1)
                 ]
                 assert clamp == pytest.approx(expected, rel=1e-12)
-                if 2 * sigma + 1 > num_frames:
-                    continue
-                strict = coarticulation_weights(
-                    seq(frames), WindowSpec(sigma, BoundaryPolicy.STRICT)
-                )
-                stop = strict.frame_start + len(strict)
-                assert np.array_equal(strict.raw_energy, clamp[strict.frame_start : stop])
+                # the untruncated definition, on the frames where it exists
+                interior = slice(max(sigma, 1), num_frames - sigma)
                 expected = [
                     oracles.window_energy_strict(listed, frame + 1, sigma)
-                    for frame in range(strict.frame_start, stop)
+                    for frame in range(num_frames)[interior]
                 ]
-                assert strict.raw_energy == pytest.approx(expected, rel=1e-12)
+                assert clamp[interior] == pytest.approx(expected, rel=1e-12)
 
     def test_gather_in_blocks_matches_one_block(self, monkeypatch):
         rng = np.random.default_rng(14)
@@ -215,30 +184,17 @@ class TestCoarticulationWeights:
             blocked = coarticulation_weights(seq(frames), WindowSpec(sigma)).raw_energy
             assert np.array_equal(blocked, whole[sigma])
 
-    def test_strict_infeasible(self):
-        with pytest.raises(ConstraintError, match="strict"):
-            coarticulation_weights(seq(np.zeros((4, 1, 3))), WindowSpec(2, BoundaryPolicy.STRICT))
-
-    def test_strict_frame_range(self):
-        assert strict_frame_range(2, 9) == (2, 7)
-        assert strict_frame_range(0, 4) == (1, 4)
-        with pytest.raises(ConstraintError):
-            strict_frame_range(3, 6)
-
-    def test_temperature(self):
+    def test_coordinate_scale_sharpens(self):
+        # scaling the coordinates by c scales each energy by c^2: the softmax
+        # of the scaled track is that of the energies times c^2
         rng = np.random.default_rng(8)
         s = rand_seq(rng, 8, 2)
-        w = coarticulation_weights(s, temperature=2.0)
-        expected = oracles.softmax([e / 2.0 for e in w.raw_energy])
-        assert w.weights == pytest.approx(expected, abs=1e-12)
-        with pytest.raises(ConstraintError):
-            coarticulation_weights(s, temperature=0.0)
-
-    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_temperature(self, temperature):
-        rng = np.random.default_rng(9)
-        with pytest.raises(ConstraintError, match="temperature"):
-            coarticulation_weights(rand_seq(rng, 6, 2), temperature=temperature)
+        w = coarticulation_weights(s)
+        for c in (0.5, 2.0):
+            scaled = coarticulation_weights(MeshSequence(s.frames * c, s.fps))
+            expected = oracles.softmax([e * c * c for e in w.raw_energy])
+            assert scaled.weights == pytest.approx(expected, abs=1e-12)
+            assert (scaled.weights.max() > w.weights.max()) == (c > 1)
 
     def test_large_energies_do_not_overflow(self):
         frames = np.zeros((3, 1, 3))
@@ -325,9 +281,12 @@ class TestLosses:
     def test_pc_rejects_partial_weights(self):
         rng = np.random.default_rng(7)
         gt, pred = rand_seq(rng, 9, 2), rand_seq(rng, 9, 2)
-        strict = coarticulation_weights(gt, WindowSpec(2, BoundaryPolicy.STRICT))
+        w = coarticulation_weights(gt, WindowSpec(2))
+        interior = CoarticulationWeights(w.weights[2:7], w.raw_energy[2:7], 2)
         with pytest.raises(ConstraintError):
-            loss_pc(gt, pred, strict)
+            loss_pc(gt, pred, interior)
+        with pytest.raises(ConstraintError):
+            grad_loss_pc(gt, pred, interior)
 
     def test_pc_rejects_wrong_length_weights(self):
         rng = np.random.default_rng(8)

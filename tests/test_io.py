@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from visemekit import io as vio
 from visemekit import (
-    BoundaryPolicy,
     CoarticulationWeights,
     ConstraintError,
     FormatError,
@@ -298,6 +297,15 @@ class TestMask:
         with pytest.raises(FormatError, match="no indices"):
             read_mask(path)
 
+    def test_index_bound(self, tmp_path):
+        # the largest int64 is kept; one more would wrap in the mask's array
+        path = tmp_path / "m.txt"
+        path.write_text(f"0\n{2**63 - 1}\n")
+        assert read_mask(path).indices.tolist() == [0, 2**63 - 1]
+        path.write_text(f"0\n{2**63}\n")
+        with pytest.raises(ConstraintError, match=f"m.txt:2: index {2**63} out of range"):
+            read_mask(path)
+
 
 class TestAnnotation:
     def test_round_trip(self, tmp_path):
@@ -382,12 +390,6 @@ class TestCsvReports:
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4"]
         assert all(row.split(",")[2] == "0.25" for row in lines[1:])
 
-    def test_strict_weight_rows_offset(self):
-        track = seq(np.zeros((6, 1, 3)))
-        weights = coarticulation_weights(track, WindowSpec(1, BoundaryPolicy.STRICT))
-        lines = format_csv_report(weights).splitlines()
-        assert [row.split(",")[0] for row in lines[1:]] == ["2", "3", "4", "5"]
-
     def test_ablation_layout_plain(self):
         rng = np.random.default_rng(12)
         gt = seq(rng.normal(0.0, 1.0, (12, 2, 3)))
@@ -462,17 +464,12 @@ class TestCsvColumns:
         scale = 10.0 ** rng.uniform(-3, 1, (num_frames, 1, 1))
         return seq(np.cumsum(rng.normal(0.0, 1.0, (num_frames, 3, 3)) * scale, axis=0))
 
-    @pytest.mark.parametrize("policy", [BoundaryPolicy.CLAMP, BoundaryPolicy.STRICT])
     @pytest.mark.parametrize("sigma", [0, 2, 5])
-    def test_weights_match_row_loop(self, policy, sigma):
+    def test_weights_match_row_loop(self, sigma):
         track = self.track(80, seed=sigma)
-        weights = coarticulation_weights(track, WindowSpec(sigma, policy), temperature=0.3)
-        if policy is BoundaryPolicy.STRICT and sigma > 0:
-            assert weights.frame_start > 0
+        weights = coarticulation_weights(track, WindowSpec(sigma))
         expected = oracles.csv_rows_loop(
-            ["t", "raw_energy", "weight"],
-            weights.frame_start + 1,
-            [weights.raw_energy, weights.weights],
+            ["t", "raw_energy", "weight"], 1, [weights.raw_energy, weights.weights]
         )
         assert format_csv_report(weights) == expected
 
@@ -507,14 +504,10 @@ class TestCsvColumns:
         expected = oracles.csv_rows_loop(["step", "loss"], 0, [[]])
         assert path.read_bytes() == expected.encode("ascii") == b"step,loss\n"
 
-    @pytest.mark.parametrize("policy", [BoundaryPolicy.CLAMP, BoundaryPolicy.STRICT])
-    def test_weights_with_edge_values(self, policy):
-        frame_start = 0 if policy is BoundaryPolicy.CLAMP else 3
+    def test_weights_with_edge_values(self):
         column = self.EDGE_COLUMN
-        weights = CoarticulationWeights(column[::-1].copy(), column, 3, policy, frame_start)
-        expected = oracles.csv_rows_loop(
-            ["t", "raw_energy", "weight"], frame_start + 1, [column, column[::-1]]
-        )
+        weights = CoarticulationWeights(column[::-1].copy(), column, 3)
+        expected = oracles.csv_rows_loop(["t", "raw_energy", "weight"], 1, [column, column[::-1]])
         assert format_csv_report(weights) == expected
 
     @pytest.mark.parametrize("total", [np.nan, -0.0, 1e308])

@@ -2,13 +2,17 @@
 module sits at module level, where the stack can be read off the file. The
 independent references the tests check the package against import nothing
 from it. Each module's `__all__` is the one list of its public names, and the
-package republishes those lists."""
+package republishes those lists. The README's usage block lists exactly the
+options of each subcommand's parser."""
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import visemekit
+from visemekit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "visemekit"
@@ -148,3 +152,19 @@ def test_package_republishes_each_module_list():
         if getattr(obj, "__module__", module.__name__) != module.__name__
     ]
     assert foreign == []
+
+
+def test_readme_usage_lists_each_parser_option():
+    """Each `visemekit <command>` line of the README names the options of
+    that subcommand's parser, no more and no fewer (help aside), and every
+    subcommand has a line."""
+    usage = {
+        match[1]: set(re.findall(r"--[a-z-]+", match[2]))
+        for match in re.finditer(r"^visemekit (\w+)(.*)$", (ROOT / "README.md").read_text(), re.M)
+    }
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert usage == parsed

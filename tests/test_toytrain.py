@@ -588,6 +588,12 @@ class TestTrainConfig:
         with pytest.raises(ConstraintError, match=field):
             TrainConfig(**{field: value})
 
+    def test_steps_bounded_by_the_largest_loss_curve(self):
+        # 2**60 float64 values are 2**63 bytes, one more than intp can count
+        assert TrainConfig(steps=2**60 - 1).steps == 2**60 - 1
+        with pytest.raises(ConstraintError, match="steps 1152921504606846976 is too many"):
+            TrainConfig(steps=2**60)
+
     def test_integral_counts_stored_as_int(self):
         cfg = TrainConfig(steps=3.0, seed=7.0, num_basis=2.0)
         assert (cfg.steps, cfg.seed, cfg.num_basis) == (3, 7, 2)
