@@ -22,6 +22,8 @@ report = evaluate(gt, pred, lips)
 print(format_csv_report(report), end="")
 print(f"LVE {report.lve:.4f} vs LDTW {report.ldtw:.4f}: warping forgives the lag")
 
-result = dtw(frames[:, :2], lagged[:, :2])
+# dtw on the lip frames is the alignment behind LDTW: its cost per path step
+result = dtw(np.take(frames, lips.indices, axis=1), np.take(lagged, lips.indices, axis=1))
+assert result.distance / result.path_length == report.ldtw
 print(f"alignment path has {len(result.path)} steps, total cost {result.distance:.4f}")
 print("first steps of the path:", result.path[:6])

@@ -72,9 +72,14 @@ class VertexRegionMask:
     region_name: str = ""
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ConstraintError("region mask must be a nonempty 1-d index list")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ConstraintError(f"region mask indices must be integers, got dtype {idx.dtype}")
+        if idx.dtype == np.uint64 and idx.max() > np.uint64(np.iinfo(np.int64).max):
+            raise ConstraintError(f"region mask index {idx.max()} is not below 2**63")
+        idx = idx.astype(np.int64, copy=False)
         if np.any(idx < 0):
             raise ConstraintError("region mask indices must be nonnegative")
         if np.any(np.diff(idx) <= 0):

@@ -10,7 +10,6 @@ sequence lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +41,7 @@ class MetricReport:
 class DtwResult:
     """Optimal alignment cost and the warping path that achieves it.
 
-    The path is a list of 0-based (i, j) pairs from (0, 0) to (T1-1, T2-1);
+    The path is a tuple of 0-based (i, j) pairs from (0, 0) to (T1-1, T2-1);
     each step increments one or both indices by 1.
     """
 
@@ -55,21 +54,6 @@ class DtwResult:
 
 
 # -- dynamic time warping -----------------------------------------------------
-
-def _euclidean_cost(a: np.ndarray, b: np.ndarray) -> Callable[[slice], np.ndarray]:
-    """Euclidean distance between every raveled frame of `a[rows]` and of `b`.
-
-    Each squared length is the dot product of a difference with itself, the
-    same reduction np.linalg.norm applies to one raveled difference.
-    """
-
-    def block(rows: slice) -> np.ndarray:
-        frames = a[rows]
-        delta = frames.reshape(len(frames), 1, 1, -1) - b.reshape(1, len(b), 1, -1)
-        return np.sqrt(np.matmul(delta, delta.swapaxes(2, 3)))[:, :, 0, 0]
-
-    return block
-
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     """terms[0] + terms[1] + ... in the order np.add.reduce sums a contiguous axis.
@@ -109,64 +93,57 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mean_vertex_distance(a: np.ndarray, b: np.ndarray) -> Callable[[slice], np.ndarray]:
-    """Mean per-vertex Euclidean distance between (L, 3) frames, pairwise.
+def _mean_vertex_distance(rows: np.ndarray, b_planes: np.ndarray) -> np.ndarray:
+    """Mean per-vertex Euclidean distance of k (L, 3) frames of `a` to all of b's.
 
-    `b` is laid out once as contiguous coordinate planes (3, L, m), and each
-    block lays out its rows of `a` the same way, so the differences broadcast
-    along all of b's frames. (Laying out all of `a` once is no faster and
-    holds another copy of it.) The squared components are summed as
-    (x + y) + z, the order numpy's norm over an axis of length 3 uses, and
-    the L distances by _pairwise_sum, so each entry equals
-    np.linalg.norm(x - y, axis=1).mean() bit for bit.
+    `rows` is the (k, L, 3) block of `a`, and `b_planes` is b laid out as
+    contiguous coordinate planes (3, L, m). The block is laid out the same
+    way, so the differences broadcast along all of b's frames. (Laying out
+    all of `a` once is no faster and holds another copy of it.) The squared
+    components are summed as (x + y) + z, the order numpy's norm over an axis
+    of length 3 uses, and the L distances by _pairwise_sum, so each entry of
+    the (k, m) result equals np.linalg.norm(x - y, axis=1).mean() bit for bit.
     """
-    b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))[:, :, None, :]
-    count = a.shape[1]
-
-    def block(rows: slice) -> np.ndarray:
-        a_planes = np.ascontiguousarray(a[rows].transpose(2, 1, 0))
-        delta = a_planes[:, :, :, None] - b_planes
-        delta *= delta
-        sq = np.add(delta[0], delta[1], out=delta[0])
-        sq += delta[2]
-        mean = _pairwise_sum(np.sqrt(sq, out=sq))
-        mean /= count
-        return mean
-
-    return block
+    a_planes = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    delta = a_planes[:, :, :, None] - b_planes[:, :, None, :]
+    delta *= delta
+    sq = np.add(delta[0], delta[1], out=delta[0])
+    sq += delta[2]
+    mean = _pairwise_sum(np.sqrt(sq, out=sq))
+    mean /= rows.shape[1]
+    return mean
 
 
-def dtw(
-    a: Sequence[np.ndarray],
-    b: Sequence[np.ndarray],
-    cost: Callable[[np.ndarray, np.ndarray], Callable[[slice], np.ndarray]] = _euclidean_cost,
-) -> DtwResult:
-    """Dynamic time warping between two sequences of frame features.
+def dtw(a: np.ndarray, b: np.ndarray) -> DtwResult:
+    """Dynamic time warping between two lip trajectories, as LDTW scores them.
 
+    `a` and `b` are (T, L, 3) frame arrays with the same L, converted to
+    C-contiguous float64 whatever the caller's layout. The local cost of two
+    frames is their mean per-vertex Euclidean distance (_mean_vertex_distance).
     Fills the classic accumulated-cost table
         D[i, j] = cost[i, j] + min(D[i-1, j-1], D[i-1, j], D[i, j-1])
     and backtracks the optimal path with a fixed tie-break: diagonal first,
     then vertical (advance a), then horizontal (advance b). No band
     constraint; the full table is always filled.
 
-    `cost` is a factory: `cost(a, b)` is called once with both whole inputs,
-    converted to C-contiguous float64 arrays whatever the caller's layout,
-    and returns `block(rows)`, which maps a slice of consecutive frames of
-    `a` to their (len(rows), len(b)) local-cost matrix against all of `b`.
-    The factory can lay the inputs out once for all blocks, as LDTW lays out
-    b's coordinate planes. The default is the Euclidean distance of the
-    raveled frames. dtw calls `block` on row blocks of the shared budget, so
-    the broadcast differences stay small on long sequences. The blocks are
-    written into one padded (n+1, m+1) table, which is accumulated in place
-    and backtracked: DTW holds no second table.
+    b's coordinate planes are laid out once, and the costs are computed on
+    row blocks of `a` of the shared budget, so the broadcast differences stay
+    small on long sequences. The blocks are written into one padded
+    (n+1, m+1) table, which is accumulated in place and backtracked: DTW
+    holds no second table.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    try:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        b = np.ascontiguousarray(b, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConstraintError(f"dtw inputs are not regular (T, L, 3) arrays: {exc}") from exc
+    if a.ndim != 3 or a.shape[2] != 3 or a.shape[1:] != b.shape[1:]:
+        raise ConstraintError(
+            f"dtw takes (T, L, 3) lip frames with the same L, got {a.shape} and {b.shape}"
+        )
     n, m = len(a), len(b)
-    if n == 0 or m == 0:
+    if n == 0 or m == 0 or a.shape[1] == 0:
         raise ConstraintError("dtw inputs must be nonempty")
-    if a.shape[1:] != b.shape[1:]:
-        raise ConstraintError(f"feature shape mismatch: {a.shape[1:]} vs {b.shape[1:]}")
 
     # The table carries an inf padding row and column, with 0 at [0, 0] as
     # the virtual predecessor of (0, 0), so cell (i, j) sits at padded
@@ -179,9 +156,9 @@ def dtw(
     width = m + 1
     table = np.full((n + 1, width), np.inf)
     table[0, 0] = 0.0
-    block = cost(a, b)
+    b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))
     for rows in _row_blocks(0, n, m * b[0].size):
-        table[rows.start + 1 : rows.stop + 1, 1:] = block(rows)
+        table[rows.start + 1 : rows.stop + 1, 1:] = _mean_vertex_distance(a[rows], b_planes)
     flat = table.reshape(-1)
     buffer = np.empty(min(n, m))  # one anti-diagonal's predecessor minima
     for d in range(n + m - 1):
@@ -229,13 +206,7 @@ def ldtw(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:
     The local cost between two frames is the mean per-lip-vertex Euclidean
     distance. Sequences of different lengths are allowed.
     """
-    a = _lip_frames(gt, lips)
-    b = _lip_frames(pred, lips)
-    if a.shape[1] != b.shape[1]:
-        raise ConstraintError(
-            f"lip vertex count mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    result = dtw(a, b, _mean_vertex_distance)
+    result = dtw(_lip_frames(gt, lips), _lip_frames(pred, lips))
     return result.distance / result.path_length
 
 

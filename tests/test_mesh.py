@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,9 @@ class TestVertexRegionMask:
     def test_rejects_empty(self):
         with pytest.raises(ConstraintError):
             VertexRegionMask(np.array([], dtype=np.int64))
+        # [] is float64 to numpy; its emptiness is reported, not its dtype
+        with pytest.raises(ConstraintError, match="nonempty 1-d"):
+            VertexRegionMask([])
 
     def test_rejects_negative(self):
         with pytest.raises(ConstraintError):
@@ -82,6 +86,30 @@ class TestVertexRegionMask:
     def test_full(self):
         mask = VertexRegionMask.full(4)
         assert mask.indices.tolist() == [0, 1, 2, 3]
+
+    def test_integer_inputs_become_int64(self):
+        for indices in ([0, 2], np.arange(2, dtype=np.int8), np.array([0, 2], dtype=np.uint64)):
+            mask = VertexRegionMask(indices)
+            assert mask.indices.dtype == np.int64
+            assert mask.indices.tolist() == list(indices)
+
+    def test_rejects_fractional_indices(self):
+        # a cast would silently truncate 2.5 to 2
+        with pytest.raises(ConstraintError, match="must be integers, got dtype float64"):
+            VertexRegionMask(np.array([0.0, 2.5]))
+
+    def test_rejects_uint64_index_above_int64(self):
+        # a cast would wrap 2**63 to a negative and blame its sign
+        assert VertexRegionMask(np.array([2**63 - 1], dtype=np.uint64)).indices[0] == 2**63 - 1
+        with pytest.raises(ConstraintError, match="9223372036854775808 is not below 2\\*\\*63"):
+            VertexRegionMask(np.array([0, 2**63], dtype=np.uint64))
+
+    def test_rejects_float_index_without_a_warning(self):
+        # numpy stores [0, 2**63] as float64, whose cast warns and wraps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintError, match="must be integers"):
+                VertexRegionMask(np.array([0, 2**63]))
 
 
 class TestFrameDifferenceNorms:

@@ -90,42 +90,72 @@ class TestFrameMetrics:
             evaluate(gt, pred, VertexRegionMask(np.array([5])))
 
 
+def x_frames(values):
+    """(n, 1, 3) frames of one vertex moving along x, so the mean-vertex cost
+    of two frames is the distance of their x values."""
+    return np.asarray(values, dtype=np.float64)[:, None, None] * [1.0, 0.0, 0.0]
+
+
+def mean_vertex_norm(x, y):
+    return float(np.linalg.norm(x - y, axis=1).mean())
+
+
 class TestDtw:
     def test_identical_sequences(self):
         rng = np.random.default_rng(0)
-        a = rng.normal(0.0, 1.0, (5, 3))
+        a = rng.normal(0.0, 1.0, (5, 4, 3))
         result = dtw(a, a)
         assert result.distance == 0.0
         assert result.path == tuple((i, i) for i in range(5))
         assert result.path_length == 5
 
     def test_repeated_frame(self):
-        result = dtw(np.zeros((1, 1)), np.zeros((2, 1)))
+        result = dtw(np.zeros((1, 1, 3)), np.zeros((2, 1, 3)))
         assert result.distance == 0.0
         assert result.path == ((0, 0), (0, 1))
 
     def test_tie_break_prefers_diagonal(self):
         # all-zero costs: every path is optimal, backtrack must take diagonals
-        result = dtw(np.zeros((3, 1)), np.zeros((3, 1)))
+        result = dtw(np.zeros((3, 1, 3)), np.zeros((3, 1, 3)))
         assert result.path == ((0, 0), (1, 1), (2, 2))
 
     def test_empty_input(self):
         with pytest.raises(ConstraintError):
-            dtw(np.zeros((0, 1)), np.zeros((2, 1)))
+            dtw(np.zeros((0, 1, 3)), np.zeros((2, 1, 3)))
+        with pytest.raises(ConstraintError, match="nonempty"):
+            dtw(np.zeros((2, 0, 3)), np.zeros((2, 0, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConstraintError):
-            dtw(np.zeros((2, 2)), np.zeros((2, 3)))
+            dtw(np.zeros((2, 2, 3)), np.zeros((2, 3, 3)))
+
+    @pytest.mark.parametrize("a, b", [
+        (np.zeros(4), np.zeros(3)),
+        (np.zeros((4, 3)), np.zeros((3, 3))),
+        (np.zeros((4, 2, 2)), np.zeros((3, 2, 2))),
+        (np.zeros((4, 2, 3)), np.zeros((3, 5, 3))),
+        (np.zeros((4, 2, 3)), np.zeros((3, 6))),
+    ])
+    def test_rejects_inputs_that_are_not_lip_frames(self, a, b):
+        with pytest.raises(ConstraintError, match=r"\(T, L, 3\)") as info:
+            dtw(a, b)
+        # raised by the shape check, not while handling a numpy error
+        assert info.value.__context__ is None
+
+    @pytest.mark.parametrize("a", [[[[0.0, 0.0, 0.0]], [[1.0, 1.0]]], [[["x", "y", "z"]]]])
+    def test_rejects_inputs_that_are_not_numeric_arrays(self, a):
+        with pytest.raises(ConstraintError, match=r"not regular \(T, L, 3\) arrays"):
+            dtw(a, np.zeros((2, 1, 3)))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_exhaustive_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        dim = int(rng.integers(1, 4))
-        a = rng.normal(0.0, 1.0, (n, dim))
-        b = rng.normal(0.0, 1.0, (m, dim))
-        table = [[float(np.linalg.norm(a[i] - b[j])) for j in range(m)] for i in range(n)]
+        num_lips = int(rng.integers(1, 4))
+        a = rng.normal(0.0, 1.0, (n, num_lips, 3))
+        b = rng.normal(0.0, 1.0, (m, num_lips, 3))
+        table = [[mean_vertex_norm(a[i], b[j]) for j in range(m)] for i in range(n)]
         result = dtw(a, b)
         assert abs(result.distance - oracles.dtw_exhaustive(table)) <= 1e-12
 
@@ -134,8 +164,8 @@ class TestDtw:
     def test_path_is_monotone_and_anchored(self, seed):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        a = rng.normal(0.0, 1.0, (n, 2))
-        b = rng.normal(0.0, 1.0, (m, 2))
+        a = rng.normal(0.0, 1.0, (n, 2, 3))
+        b = rng.normal(0.0, 1.0, (m, 2, 3))
         path = dtw(a, b).path
         assert path[0] == (0, 0)
         assert path[-1] == (n - 1, m - 1)
@@ -143,18 +173,11 @@ class TestDtw:
             assert (i1 - i0, j1 - j0) in ((1, 0), (0, 1), (1, 1))
 
 
-def raveled_norm(x, y):
-    return float(np.linalg.norm(np.ravel(x) - np.ravel(y)))
-
-
-def mean_vertex_norm(x, y):
-    return float(np.linalg.norm(x - y, axis=1).mean())
-
-
 def oracle_cases(rng, count):
-    """Random DTW inputs, lengths 1-40: (V, 3) frames, then the same as 1-D
-    features, with every third case made tie-heavy (values rounded to 0.5,
-    so every local cost is exact) and every seventh all zeros."""
+    """Random DTW inputs, lengths 1-40: (V, 3) frames, then their first
+    vertex's x coordinates as x_frames, with every third case made tie-heavy
+    (values rounded to 0.5, so every local cost is exact) and every seventh
+    all zeros."""
     for case in range(count):
         n, m = int(rng.integers(1, 41)), int(rng.integers(1, 41))
         num_vertices = int(rng.integers(1, 5))
@@ -165,17 +188,17 @@ def oracle_cases(rng, count):
         if case % 7 == 0:
             a, b = np.zeros_like(a), np.zeros_like(b)
         yield a, b
-        yield a[:, 0, 0], b[:, 0, 0]
+        yield x_frames(a[:, 0, 0]), x_frames(b[:, 0, 0])
 
 
 class TestDtwKernel:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(20)
         for a, b in oracle_cases(rng, 60):
-            distance, path = oracles.dtw_loop(a, b, raveled_norm)
+            distance, path = oracles.dtw_loop(a, b, mean_vertex_norm)
             result = dtw(a, b)
             assert result.path == path
-            assert abs(result.distance - distance) <= 1e-12
+            assert result.distance == distance
 
     def test_ldtw_equals_loop_oracle_exactly(self):
         rng = np.random.default_rng(21)
@@ -212,44 +235,26 @@ class TestDtwKernel:
             return (np.ascontiguousarray(picked), np.asfortranarray(picked), picked)
 
         results = [
-            (dtw(a, b), dtw(a, b, metrics._mean_vertex_distance),
-             ldtw(seq(a), seq(b), VertexRegionMask.full(len(lips))))
+            (dtw(a, b), ldtw(seq(a), seq(b), VertexRegionMask.full(len(lips))))
             for a, b in zip(layouts(frames_a), layouts(frames_b))
         ]
         assert results[1] == results[0]
         assert results[2] == results[0]
 
-    def test_custom_cost_receives_contiguous_float64_blocks(self, monkeypatch):
-        # the factory is called once with the whole converted inputs; under a
-        # tiny budget its block function gets consecutive slices covering a
+    def test_int32_fortran_inputs_match_float64_copies(self, monkeypatch):
+        # dtw converts any layout and dtype before it cuts the row blocks; a
+        # 40-element budget cuts a into one-row blocks
         monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", 40)
-        calls, slices = [], []
-
-        def cost(a, b):
-            calls.append((a.shape, a.dtype, a.flags.c_contiguous,
-                          b.shape, b.dtype, b.flags.c_contiguous))
-            block = metrics._mean_vertex_distance(a, b)
-
-            def logged(rows):
-                slices.append((rows.start, rows.stop))
-                return block(rows)
-
-            return logged
-
         frames = np.arange(60 * 4 * 3, dtype=np.int32).reshape(60, 4, 3)
-        dtw(frames[::2, [0, 3]], np.asfortranarray(frames[:7, 1:3]), cost)
-        float64 = np.dtype(np.float64)
-        assert calls == [((30, 2, 3), float64, True, (7, 2, 3), float64, True)]
-        assert len(slices) > 1
-        starts, stops = zip(*slices)
-        assert starts[0] == 0 and stops[-1] == 30
-        assert starts[1:] == stops[:-1]
-        assert all(start < stop for start, stop in slices)
+        a, b = frames[::2, [0, 3]], np.asfortranarray(frames[:7, 1:3])
+        copies = (np.array(a, dtype=np.float64, order="C"),
+                  np.array(b, dtype=np.float64, order="C"))
+        assert dtw(a, b) == dtw(*copies)
 
     def test_peak_memory_is_one_table(self):
         n = m = 2000
-        a = np.linspace(0.0, 1.0, n)
-        b = np.linspace(1.0, 0.0, m)
+        a = x_frames(np.linspace(0.0, 1.0, n))
+        b = x_frames(np.linspace(1.0, 0.0, m))
         tracemalloc.start()
         try:
             dtw(a, b)
@@ -263,29 +268,16 @@ class TestDtwKernel:
         a = rng.normal(0.0, 1.0, (17, 3, 3))
         b = rng.normal(0.0, 1.0, (13, 3, 3))
         lips = VertexRegionMask(np.array([0, 2]))
-        whole = (dtw(a, b), dtw(a[:, 0, 0], b[:, 0, 0]), ldtw(seq(a), seq(b), lips))
+        whole = (dtw(a, b), dtw(a[:, :1], b[:, :1]), ldtw(seq(a), seq(b), lips))
         # a tiny budget forces several blocks, down to one row per block
         for budget in (5, 50, 200):
             monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", budget)
-            blocked = (dtw(a, b), dtw(a[:, 0, 0], b[:, 0, 0]), ldtw(seq(a), seq(b), lips))
+            blocked = (dtw(a, b), dtw(a[:, :1], b[:, :1]), ldtw(seq(a), seq(b), lips))
             assert blocked == whole
 
     def test_block_cost_contract(self):
-        # cost(a, b) gets all of a and b once and returns block(rows), the
-        # local costs of a slice of a's frames against all of b
-        seen = []
-
-        def cost(a, b):
-            seen.append((a.shape, b.shape))
-
-            def block(rows):
-                seen.append(rows)
-                return np.abs(a[rows, None] - b[None, :])
-
-            return block
-
-        result = dtw(np.arange(4.0), np.arange(3.0), cost)
-        assert seen == [((4,), (3,)), slice(0, 4)]
+        # the local cost of x_frames is the distance of their x values
+        result = dtw(x_frames(np.arange(4)), x_frames(np.arange(3)))
         assert result.distance == 1.0
         assert result.path == ((0, 0), (1, 1), (2, 2), (3, 2))
 
@@ -300,7 +292,8 @@ class TestDtwKernel:
         assert ldtw(gt, pred, VertexRegionMask.full(num_lips)) == distance / len(path)
         # every local cost, not only those on the path
         want = [[mean_vertex_norm(x, y) for y in b] for x in a]
-        assert metrics._mean_vertex_distance(a, b)(slice(0, len(a))).tolist() == want
+        b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))
+        assert metrics._mean_vertex_distance(a, b_planes).tolist() == want
 
     def test_ldtw_equals_loop_oracle_at_benchmark_shape(self):
         # 120 x 120 frames, 20 scattered lips of 60 vertices, ground truth
