@@ -15,6 +15,7 @@ gt = MeshSequence(frames, fps=30.0)
 
 lagged = np.zeros_like(frames)
 lagged[11:, :, 0] = 1.0  # same motion, three frames late
+lagged += np.random.default_rng(0).normal(0.0, 0.01, lagged.shape)  # and a little noise
 pred = MeshSequence(lagged, fps=30.0)
 
 lips = VertexRegionMask(np.array([0, 1]), region_name="lips")

@@ -193,20 +193,19 @@ def cmd_gradcheck(args) -> int:
         num_basis = int(rng.integers(1, num_frames))
         coef = rng.normal(0.0, 1.0, (num_basis, num_vertices, 3))
         loss_choice = LossKind.PC if trial % 2 else LossKind.REC
-        cfg = toytrain.TrainConfig(loss_choice, vel_coefficient=0.3, sigma=sigma, steps=1)
+        cfg = toytrain.TrainConfig(loss_choice, sigma=sigma, steps=1)
         basis = toytrain.temporal_basis(num_frames, num_basis)
 
         def of_frames(loss, *extra):  # a loss against gt, as a function of the frames
             return lambda frames: loss(gt, MeshSequence(frames, fps), *extra).total
 
         rec, vel, pc = of_frames(loss_rec), of_frames(loss_vel), of_frames(loss_pc, weights)
+        frame_loss = pc if loss_choice is LossKind.PC else rec
 
-        # the trainer's least-squares objective, as the same losses of the
-        # toy model's basis prediction
+        # the trainer's least-squares objective, as the chosen frame loss of
+        # the toy model's basis prediction
         def toy(c):
-            frames = np.tensordot(basis, c, axes=(1, 0))
-            frame_loss = pc if cfg.loss_choice is LossKind.PC else rec
-            return frame_loss(frames) + cfg.vel_coefficient * vel(frames)
+            return frame_loss(np.tensordot(basis, c, axes=(1, 0)))
 
         # name: (analytic gradient, scalar function of an array, point)
         cases = {

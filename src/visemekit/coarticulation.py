@@ -60,7 +60,6 @@ class CoarticulationWeights:
 
     weights: np.ndarray
     raw_energy: np.ndarray
-    sigma: int
 
 
 class LossKind(Enum):
@@ -132,7 +131,7 @@ def coarticulation_weights(
     raw = _window_energies(diffs, window.sigma)
     if not np.isfinite(raw).all():
         raise ConstraintError("motion energy is not finite")
-    return CoarticulationWeights(_softmax(raw), raw, window.sigma)
+    return CoarticulationWeights(_softmax(raw), raw)
 
 
 # -- losses ------------------------------------------------------------------

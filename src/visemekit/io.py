@@ -391,7 +391,6 @@ def format_train_config(cfg: TrainConfig) -> str:
     lines = [
         f"loss = {cfg.loss_choice.value}",
         f"sigma = {cfg.sigma}",
-        f"vel_coefficient = {float(cfg.vel_coefficient)!r}",
         f"learning_rate = {float(cfg.learning_rate)!r}",
         f"steps = {cfg.steps}",
         f"seed = {cfg.seed}",
@@ -411,7 +410,6 @@ def _loss_choice(text: str) -> LossKind:
 _CONFIG_SCALARS = {
     "loss": ("loss_choice", _loss_choice),
     "sigma": ("sigma", int),
-    "vel_coefficient": ("vel_coefficient", float),
     "learning_rate": ("learning_rate", float),
     "steps": ("steps", int),
     "seed": ("seed", int),

@@ -68,7 +68,6 @@ def temporal_basis(num_frames: int, num_basis: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TrainConfig:
     loss_choice: LossKind = LossKind.PC
-    vel_coefficient: float = 0.0
     sigma: int = 2
     learning_rate: float = 1e-2
     steps: int = 2000
@@ -78,10 +77,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_choice not in (LossKind.REC, LossKind.PC):
             raise ConstraintError("loss_choice must be REC or PC")
-        if not (math.isfinite(self.vel_coefficient) and self.vel_coefficient >= 0):
-            raise ConstraintError(
-                f"vel_coefficient must be finite and >= 0, got {self.vel_coefficient}"
-            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConstraintError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
@@ -115,21 +110,14 @@ def _least_squares(
 
     With per-frame weights w (the PC weights, or all ones for REC), the basis
     B and the flattened targets Y (T, 3V), the objective at flattened
-    coefficients C (K, 3V) is f(C) = ||A C - b||^2 with A = sqrt(w) B and
-    b = sqrt(w) Y. When vel_coefficient mu > 0, sqrt(mu) D B is stacked under
-    A and sqrt(mu) D Y under b, with the first-difference operator D. The
-    weights are the coarticulation weights of `gt`, so (A, b) is fixed for a
-    whole fit.
+    coefficients C (K, 3V) is f(C) = ||A C - b||^2 with A = sqrt(w) B (T, K)
+    and b = sqrt(w) Y. The weights are the coarticulation weights of `gt`, so
+    (A, b) is fixed for a whole fit.
     """
     targets = gt.frames.reshape(gt.num_frames, -1)
     w = weights.weights if cfg.loss_choice is LossKind.PC else np.ones(gt.num_frames)
     root = np.sqrt(w)[:, None]
-    design, observed = root * basis, root * targets
-    if cfg.vel_coefficient > 0:
-        scale = math.sqrt(cfg.vel_coefficient)
-        design = np.vstack([design, scale * np.diff(basis, axis=0)])
-        observed = np.vstack([observed, scale * np.diff(targets, axis=0)])
-    return design, observed
+    return root * basis, root * targets
 
 
 def objective_and_gradient(
@@ -137,10 +125,10 @@ def objective_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Training objective at `coef` and its gradient w.r.t. `coef`.
 
-    The objective is the chosen frame loss plus vel_coefficient times the
-    velocity loss of the basis prediction, evaluated as the squared norm of
-    the least-squares residual r = A C - b; the gradient is 2 A^T r. The
-    weights are built from cfg.sigma as `fit` builds them.
+    The objective is the chosen frame loss (rec or pc) of the basis
+    prediction, evaluated as the squared norm of the least-squares residual
+    r = A C - b; the gradient is 2 A^T r. The weights are built from
+    cfg.sigma as `fit` builds them.
     """
     coef = np.asarray(coef, dtype=np.float64)
     weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))

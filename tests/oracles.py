@@ -258,22 +258,19 @@ class LoopDiverged(ArithmeticError):
         super().__init__(f"loss became non-finite at step {step}")
 
 
-def quadratic_form(basis, w, targets, mu):
+def quadratic_form(basis, w, targets):
     """The toy objective as normal equations, f(C) = <C, G C> - 2 <C, R> + c0.
 
-    With the basis B (T, K), the flattened targets Y (T, 3V), per-frame
-    weights w, the velocity coefficient mu and the first difference D,
-    M = diag(w) + mu D^T D, G = B^T M B, R = B^T M Y and c0 = <Y, M Y>.
+    With the basis B (T, K), the flattened targets Y (T, 3V) and per-frame
+    weights w, G = B^T diag(w) B, R = B^T diag(w) Y and c0 = <Y, diag(w) Y>.
     Returns (G, R, c0).
     """
     basis = np.asarray(basis, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    basis_steps = np.diff(basis, axis=0)
-    target_steps = np.diff(targets, axis=0)
-    gram = basis.T @ (w[:, None] * basis) + mu * (basis_steps.T @ basis_steps)
-    rhs = basis.T @ (w[:, None] * targets) + mu * (basis_steps.T @ target_steps)
-    offset = float(w @ np.sum(targets * targets, axis=1) + mu * np.sum(target_steps**2))
+    gram = basis.T @ (w[:, None] * basis)
+    rhs = basis.T @ (w[:, None] * targets)
+    offset = float(w @ np.sum(targets * targets, axis=1))
     return gram, rhs, offset
 
 
@@ -296,14 +293,14 @@ def fit_loop(gram, rhs, offset, coef0, learning_rate, steps):
     return curve, flat
 
 
-def fit_exact(basis, w, targets, mu, coef0, learning_rate, steps):
+def fit_exact(basis, w, targets, coef0, learning_rate, steps):
     """Gradient descent on the toy objective in exact rational arithmetic.
 
     Every input is a float or nested lists of floats (basis B (T, K),
     weights w (T,), flattened targets Y (T, P), coefficients coef0 (K, P)),
     converted exactly to Fraction. Each step records f(C) from its
     definition, with the frame residuals E = B C - Y,
-        f(C) = sum_t w_t |E_t|^2 + mu sum_t |E_(t+1) - E_t|^2,
+        f(C) = sum_t w_t |E_t|^2,
     then takes C <- C - lr grad f(C). Returns the loss curve and the final
     coefficients as Fractions.
     """
@@ -311,23 +308,20 @@ def fit_exact(basis, w, targets, mu, coef0, learning_rate, steps):
     Y = [[Fraction(float(x)) for x in row] for row in targets]
     C = [[Fraction(float(x)) for x in row] for row in coef0]
     W = [Fraction(float(x)) for x in w]
-    mu, lr = Fraction(float(mu)), Fraction(float(learning_rate))
+    lr = Fraction(float(learning_rate))
     T, K, P = len(B), len(B[0]), len(Y[0])
     curve = []
     for _ in range(steps):
         E = [[sum(B[t][k] * C[k][j] for k in range(K)) - Y[t][j] for j in range(P)]
              for t in range(T)]
-        dE = [[E[t + 1][j] - E[t][j] for j in range(P)] for t in range(T - 1)]
-        curve.append(sum(W[t] * sum(e * e for e in E[t]) for t in range(T))
-                     + mu * sum(d * d for row in dE for d in row))
-        grad = [[2 * sum(W[t] * E[t][j] * B[t][k] for t in range(T))
-                 + 2 * mu * sum(dE[t][j] * (B[t + 1][k] - B[t][k]) for t in range(T - 1))
-                 for j in range(P)] for k in range(K)]
+        curve.append(sum(W[t] * sum(e * e for e in E[t]) for t in range(T)))
+        grad = [[2 * sum(W[t] * E[t][j] * B[t][k] for t in range(T)) for j in range(P)]
+                for k in range(K)]
         C = [[C[k][j] - lr * grad[k][j] for j in range(P)] for k in range(K)]
     return curve, C
 
 
-def fit_loop_longdouble(basis, w, targets, mu, coef0, learning_rate, steps):
+def fit_loop_longdouble(basis, w, targets, coef0, learning_rate, steps):
     """The descent of fit_exact in numpy's long double (80-bit extended on
     x86): each step records f(C) from the frame residuals E = B C - Y, then
     takes C <- C - lr grad f(C). Summing non-negative terms instead of
@@ -337,16 +331,12 @@ def fit_loop_longdouble(basis, w, targets, mu, coef0, learning_rate, steps):
     ld = np.longdouble
     B, Y = np.asarray(basis, dtype=ld), np.asarray(targets, dtype=ld)
     W, C = np.asarray(w, dtype=ld)[:, None], np.array(coef0, dtype=ld)
-    mu, lr = ld(mu), ld(learning_rate)
+    lr = ld(learning_rate)
     curve = np.empty(steps, dtype=ld)
     for step in range(steps):
         E = B @ C - Y
-        dE = np.diff(E, axis=0)
-        curve[step] = np.sum(W * E * E) + mu * np.sum(dE * dE)
-        adjoint = W * E  # half of df/dE
-        adjoint[1:] += mu * dE
-        adjoint[:-1] -= mu * dE
-        C -= 2 * lr * (B.T @ adjoint)
+        curve[step] = np.sum(W * E * E)
+        C -= 2 * lr * (B.T @ (W * E))
     return curve, C
 
 

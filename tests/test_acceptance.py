@@ -210,7 +210,7 @@ def test_converged_weighted_solution_helps_transitions():
         lve = {}
         for kind, w in ((LossKind.PC, coarticulation_weights(track, WindowSpec(2)).weights),
                         (LossKind.REC, np.ones(track.num_frames))):
-            gram, rhs, _ = oracles.quadratic_form(basis, w, targets, 0.0)
+            gram, rhs, _ = oracles.quadratic_form(basis, w, targets)
             coef = np.linalg.solve(gram, rhs).reshape(30, track.num_vertices, 3)
             pred = MeshSequence(np.tensordot(basis, coef, axes=(1, 0)), track.fps)
             lve[kind] = evaluate(track, pred, lips).per_frame_lve[transition].mean()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from visemekit import (
+    LossKind,
     MeshSequence,
     SegmentAnnotation,
     VertexRegionMask,
@@ -608,6 +609,23 @@ class TestAnnotationCoverage:
         assert calls == []
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_velocity_coefficient_is_an_unknown_key(self, tmp_path, capsys, command):
+        # the trainer fits the chosen frame loss alone; the velocity term's
+        # coefficient is no config key
+        gt = msq(tmp_path, "gt.msq", np.random.default_rng(9).normal(0.0, 1.0, (12, 2, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 5\nnum_basis = 3\nvel_coefficient = 0.3\n")
+        out = tmp_path / "run"
+        argv = {"train": ["train", "--out", str(out)], "ablate": ["ablate", "--sigmas", "1"]}[command]
+        assert main(argv + ["--gt", gt, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 3: unknown key 'vel_coefficient'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestGradcheck:
     def test_passes_quickly(self, capsys):
         assert main(["gradcheck", "--trials", "5"]) == 0
@@ -615,14 +633,14 @@ class TestGradcheck:
         assert "worst overall" in out and out.strip().endswith("OK")
 
     def test_checks_trainer_against_direct_losses(self, capsys, monkeypatch):
-        # a least-squares form that drops the velocity rows is self-consistent,
+        # a least-squares form that drops the PC weights is self-consistent,
         # so only finite differences of the direct losses can catch it
         form = toytrain._least_squares
 
-        def without_velocity(gt, cfg, basis, weights):
-            return form(gt, replace(cfg, vel_coefficient=0.0), basis, weights)
+        def without_weights(gt, cfg, basis, weights):
+            return form(gt, replace(cfg, loss_choice=LossKind.REC), basis, weights)
 
-        monkeypatch.setattr(toytrain, "_least_squares", without_velocity)
+        monkeypatch.setattr(toytrain, "_least_squares", without_weights)
         assert main(["gradcheck", "--trials", "3"]) == 1
         assert capsys.readouterr().out.strip().endswith("FAIL")
 

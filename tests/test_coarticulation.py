@@ -282,7 +282,7 @@ class TestLosses:
         rng = np.random.default_rng(7)
         gt, pred = rand_seq(rng, 9, 2), rand_seq(rng, 9, 2)
         w = coarticulation_weights(gt, WindowSpec(2))
-        interior = CoarticulationWeights(w.weights[2:7], w.raw_energy[2:7], 2)
+        interior = CoarticulationWeights(w.weights[2:7], w.raw_energy[2:7])
         with pytest.raises(ConstraintError):
             loss_pc(gt, pred, interior)
         with pytest.raises(ConstraintError):
@@ -312,7 +312,7 @@ class TestGradients:
     def test_pc_single_frame_hand_value(self):
         gt = seq([[[0.0, 0.0, 0.0]]])
         pred = seq([[[1.0, 0.0, 0.0]]])
-        w = CoarticulationWeights(np.array([1.0]), np.array([0.0]), sigma=0)
+        w = CoarticulationWeights(np.array([1.0]), np.array([0.0]))
         grad = grad_loss_pc(gt, pred, w)
         assert np.array_equal(grad[0, 0], [2.0, 0.0, 0.0])
 

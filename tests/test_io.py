@@ -506,7 +506,7 @@ class TestCsvColumns:
 
     def test_weights_with_edge_values(self):
         column = self.EDGE_COLUMN
-        weights = CoarticulationWeights(column[::-1].copy(), column, 3)
+        weights = CoarticulationWeights(column[::-1].copy(), column)
         expected = oracles.csv_rows_loop(["t", "raw_energy", "weight"], 1, [column, column[::-1]])
         assert format_csv_report(weights) == expected
 
@@ -685,7 +685,6 @@ class TestTrainConfigText:
     def test_round_trip(self):
         cfg = TrainConfig(
             loss_choice=LossKind.REC,
-            vel_coefficient=0.25,
             sigma=3,
             learning_rate=0.05,
             steps=123,
@@ -755,7 +754,6 @@ def synth_specs(draw):
 train_configs = st.builds(
     TrainConfig,
     loss_choice=st.sampled_from([LossKind.REC, LossKind.PC]),
-    vel_coefficient=st.floats(0.0, 1e6),
     sigma=counts(0, 50),
     learning_rate=st.floats(1e-12, 10.0),
     steps=counts(0, 10**6),

@@ -3,7 +3,8 @@ module sits at module level, where the stack can be read off the file. The
 independent references the tests check the package against import nothing
 from it. Each module's `__all__` is the one list of its public names, and the
 package republishes those lists. The README's usage block lists exactly the
-options of each subcommand's parser."""
+options of each subcommand's parser, and its train-config sentence exactly the
+config parser's keys."""
 
 import argparse
 import ast
@@ -12,6 +13,7 @@ import re
 from pathlib import Path
 
 import visemekit
+from visemekit import io
 from visemekit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -168,3 +170,11 @@ def test_readme_usage_lists_each_parser_option():
         for name, sub in commands.choices.items()
     }
     assert usage == parsed
+
+
+def test_readme_config_keys_are_the_parser_keys():
+    """The README's "A train config takes ..." sentence names exactly the
+    keys the config parser reads (values in parentheses aside)."""
+    (sentence,) = re.findall(r"A train config takes (.*?);", (ROOT / "README.md").read_text(), re.S)
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence))
+    assert sorted(named) == sorted(io._CONFIG_SCALARS)
