@@ -7,14 +7,14 @@ it, and the held frames share what is left.
 
 import numpy as np
 
-from visemekit import MeshSequence, WindowSpec, coarticulation_weights
+from visemekit import MeshSequence, coarticulation_weights
 
 # one vertex, 12 frames: closed for 5 frames, open for the rest
 frames = np.zeros((12, 1, 3))
 frames[5:, 0, 0] = 1.0
 track = MeshSequence(frames, fps=30.0)
 
-weights = coarticulation_weights(track, WindowSpec(sigma=2))
+weights = coarticulation_weights(track, sigma=2)
 print("frame  raw_energy  weight")
 for i in range(track.num_frames):
     marker = "  <-- the jump" if i == 5 else ""
@@ -23,11 +23,11 @@ print(f"sum of weights: {weights.weights.sum():.12f}")
 
 # a wider window spreads the energy
 for sigma in (1, 2, 4):
-    w = coarticulation_weights(track, WindowSpec(sigma))
+    w = coarticulation_weights(track, sigma)
     print(f"sigma={sigma}: peak weight {w.weights.max():.4f} at frame {w.weights.argmax() + 1}")
 
 # the softmax takes the energies unscaled; they are squared step lengths, so
 # scaling the coordinates by c scales them by c^2 and sharpens the peak
 for scale in (0.5, 1.0, 2.0):
-    w = coarticulation_weights(MeshSequence(frames * scale, fps=30.0), WindowSpec(2))
+    w = coarticulation_weights(MeshSequence(frames * scale, fps=30.0), 2)
     print(f"coordinates x{scale}: peak weight {w.weights.max():.4f}")

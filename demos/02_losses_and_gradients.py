@@ -11,7 +11,6 @@ import numpy as np
 
 from visemekit import (
     MeshSequence,
-    WindowSpec,
     central_difference,
     coarticulation_weights,
     grad_loss_pc,
@@ -30,7 +29,7 @@ pred = MeshSequence(frames + rng.normal(0.0, 0.05, frames.shape), fps=30.0)
 
 rec = loss_rec(gt, pred)
 vel = loss_vel(gt, pred)
-weights = coarticulation_weights(gt, WindowSpec(2))
+weights = coarticulation_weights(gt, 2)
 pc = loss_pc(gt, pred, weights)
 
 print(f"rec total {rec.total:.6f}  vel total {vel.total:.6f}  pc total {pc.total:.6f}")

@@ -20,7 +20,6 @@ import numpy as np
 from . import io, metrics, toytrain
 from .coarticulation import (
     LossKind,
-    WindowSpec,
     central_difference,
     coarticulation_weights,
     grad_loss_pc,
@@ -64,7 +63,7 @@ def _load_annotation(path: str | None):
 
 
 def cmd_weights(args) -> int:
-    weights = coarticulation_weights(io.read_msq(args.gt), WindowSpec(args.sigma))
+    weights = coarticulation_weights(io.read_msq(args.gt), args.sigma)
     _emit(weights, args.out)
     return 0
 
@@ -77,7 +76,7 @@ def cmd_loss(args) -> int:
     elif args.kind == "vel":
         report = loss_vel(gt, pred)
     else:
-        weights = coarticulation_weights(gt, WindowSpec(args.sigma))
+        weights = coarticulation_weights(gt, args.sigma)
         report = loss_pc(gt, pred, weights)
     _emit(report, args.out)
     return 0
@@ -189,7 +188,7 @@ def cmd_gradcheck(args) -> int:
         gt = MeshSequence(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)), fps)
         pred = MeshSequence(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)), fps)
         sigma = int(rng.integers(0, 4))
-        weights = coarticulation_weights(gt, WindowSpec(sigma))
+        weights = coarticulation_weights(gt, sigma)
         num_basis = int(rng.integers(1, num_frames))
         coef = rng.normal(0.0, 1.0, (num_basis, num_vertices, 3))
         loss_choice = LossKind.PC if trial % 2 else LossKind.REC

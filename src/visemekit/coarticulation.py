@@ -24,7 +24,6 @@ from .errors import ConstraintError, require_integer
 from .mesh import MeshSequence, _row_blocks, frame_difference_norms, require_same_shape
 
 __all__ = [
-    "WindowSpec",
     "CoarticulationWeights",
     "LossKind",
     "LossReport",
@@ -38,16 +37,6 @@ __all__ = [
     "central_difference",
     "relative_gradient_error",
 ]
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Temporal window: radius sigma (window size 2*sigma + 1, default 5)."""
-
-    sigma: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", require_integer(self.sigma, "window radius"))
 
 
 @dataclass(frozen=True)
@@ -117,18 +106,19 @@ def _softmax(values: np.ndarray) -> np.ndarray:
     return ex / ex.sum()
 
 
-def coarticulation_weights(
-    gt: MeshSequence, window: WindowSpec = WindowSpec()
-) -> CoarticulationWeights:
+def coarticulation_weights(gt: MeshSequence, sigma: int = 2) -> CoarticulationWeights:
     """Softmax-normalized windowed motion energies of every frame of a
-    ground-truth sequence. Energy that is not finite is a ConstraintError.
+    ground-truth sequence, over windows of radius sigma (2*sigma + 1 frames).
+    The radius must be a nonnegative integer; energy that is not finite is a
+    ConstraintError.
 
     The softmax takes the energies unscaled: scaling the coordinates by c
     scales every energy by c^2, so a larger scale sharpens the weights.
     """
+    sigma = require_integer(sigma, "window radius")
     with np.errstate(over="ignore"):  # a squared step that overflows is the error raised below
         diffs = frame_difference_norms(gt)
-    raw = _window_energies(diffs, window.sigma)
+    raw = _window_energies(diffs, sigma)
     if not np.isfinite(raw).all():
         raise ConstraintError("motion energy is not finite")
     return CoarticulationWeights(_softmax(raw), raw)

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coarticulation import WindowSpec, coarticulation_weights
+from .coarticulation import coarticulation_weights
 from .errors import ConstraintError, require_float32, require_integer
 from .mesh import MeshSequence
 
@@ -66,9 +66,8 @@ class SynthSpec:
     label: str | None = None
 
     def __post_init__(self):
-        if self.num_vertices < 1:
-            raise ConstraintError("num_vertices must be >= 1")
-        object.__setattr__(self, "num_vertices", require_integer(self.num_vertices, "num_vertices"))
+        num_vertices = require_integer(self.num_vertices, "num_vertices", 1)
+        object.__setattr__(self, "num_vertices", num_vertices)
         if not math.isfinite(self.fps) or self.fps <= 0:
             raise ConstraintError(f"fps must be positive and finite, got {self.fps}")
         require_float32(self.fps, "fps")
@@ -178,7 +177,7 @@ def gen_viseme_track(spec: SynthSpec) -> tuple[MeshSequence, SegmentAnnotation]:
     seq = MeshSequence(frames, spec.fps)  # shares frames: the jitter lands in seq
 
     if num_frames >= 2:
-        energy = coarticulation_weights(seq, WindowSpec()).raw_energy
+        energy = coarticulation_weights(seq).raw_energy
     else:
         energy = np.zeros(num_frames)
     # the median as np.median computes it, without its numpy.ma import

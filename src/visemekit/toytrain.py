@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .coarticulation import CoarticulationWeights, LossKind, WindowSpec, coarticulation_weights
+from .coarticulation import CoarticulationWeights, LossKind, coarticulation_weights
 from .errors import ConstraintError, DivergenceError, require_integer
 from .mesh import MeshSequence, VertexRegionMask, _row_blocks
 from .synth import SegmentAnnotation
@@ -87,7 +87,7 @@ class TrainConfig:
         object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
         if self.num_basis is not None:
             object.__setattr__(self, "num_basis", require_integer(self.num_basis, "num_basis", 1))
-        object.__setattr__(self, "sigma", WindowSpec(self.sigma).sigma)
+        object.__setattr__(self, "sigma", require_integer(self.sigma, "window radius"))
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def objective_and_gradient(
     cfg.sigma as `fit` builds them.
     """
     coef = np.asarray(coef, dtype=np.float64)
-    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+    weights = coarticulation_weights(gt, cfg.sigma)
     design, observed = _least_squares(gt, cfg, temporal_basis(gt.num_frames, len(coef)), weights)
     residual = design @ coef.reshape(len(coef), -1) - observed
     return float(np.vdot(residual, residual)), (2.0 * (design.T @ residual)).reshape(coef.shape)
@@ -163,7 +163,7 @@ def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
         )
 
     basis = temporal_basis(num_frames, num_basis)
-    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+    weights = coarticulation_weights(gt, cfg.sigma)
     design, observed = _least_squares(gt, cfg, basis, weights)
 
     rng = np.random.default_rng(cfg.seed)

@@ -22,7 +22,6 @@ from visemekit import (
     MeshSequence,
     TrainConfig,
     VertexRegionMask,
-    WindowSpec,
     coarticulation_weights,
     demo_spec,
     dtw,
@@ -74,7 +73,7 @@ def test_criterion_1_weight_normalization(announce):
             num_vertices = int(rng.integers(1, 33))
             sigma = int(rng.integers(0, 6))
             track = seq(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)))
-            weights = coarticulation_weights(track, WindowSpec(sigma)).weights
+            weights = coarticulation_weights(track, sigma).weights
             assert abs(weights.sum() - 1.0) <= 1e-9
             assert np.all(weights > 0.0)
         assert time.perf_counter() - start < 10.0
@@ -96,7 +95,7 @@ def test_criterion_2_uniform_motion_reduction(announce):
                 frames = np.broadcast_to(base, (num_frames, num_vertices, 3))
             gt = seq(np.array(frames))
             pred = seq(np.asarray(gt.frames) + rng.normal(0.0, 0.1, gt.frames.shape))
-            weights = coarticulation_weights(gt, WindowSpec(sigma))
+            weights = coarticulation_weights(gt, sigma)
             pc_total = loss_pc(gt, pred, weights).total
             rec_total = loss_rec(gt, pred).total
             assert abs(pc_total - rec_total / num_frames) <= 1e-9
@@ -116,7 +115,7 @@ def test_criterion_3_worked_micro_example(announce):
         assert parsed["weight"] == pytest.approx([0.45186, 0.27407, 0.27407], abs=1e-5)
 
         track = seq([[[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]])
-        ours = coarticulation_weights(track, WindowSpec(1))
+        ours = coarticulation_weights(track, 1)
         assert ours.raw_energy.tolist() == pytest.approx(parsed["raw"], abs=1e-12)
         assert ours.weights.tolist() == pytest.approx(parsed["weight"], abs=1e-12)
 
@@ -208,7 +207,7 @@ def test_converged_weighted_solution_helps_transitions():
         basis = temporal_basis(track.num_frames, 30)
         targets = track.frames.reshape(track.num_frames, -1)
         lve = {}
-        for kind, w in ((LossKind.PC, coarticulation_weights(track, WindowSpec(2)).weights),
+        for kind, w in ((LossKind.PC, coarticulation_weights(track, 2).weights),
                         (LossKind.REC, np.ones(track.num_frames))):
             gram, rhs, _ = oracles.quadratic_form(basis, w, targets)
             coef = np.linalg.solve(gram, rhs).reshape(30, track.num_vertices, 3)

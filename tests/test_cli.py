@@ -14,7 +14,6 @@ from visemekit import (
     MeshSequence,
     SegmentAnnotation,
     VertexRegionMask,
-    WindowSpec,
     coarticulation_weights,
     demo_spec,
     evaluate,
@@ -496,7 +495,7 @@ class TestTrain:
         assert main(["train", "--gt", str(gt), "--out", str(out), "--config", str(cfg)]) == 0
         seq = read_msq(gt)
         pred = read_msq(out / "pred.msq")
-        want = loss_pc(seq, pred, coarticulation_weights(seq, WindowSpec(4))).total
+        want = loss_pc(seq, pred, coarticulation_weights(seq, 4)).total
         assert f", pc {want:.6g}," in capsys.readouterr().out
         assert f"final_pc,{want:.9g}\n" in (out / "report.csv").read_text()
 

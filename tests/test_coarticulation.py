@@ -11,7 +11,6 @@ from visemekit import (
     ConstraintError,
     LossKind,
     MeshSequence,
-    WindowSpec,
     central_difference,
     coarticulation_weights,
     grad_loss_pc,
@@ -36,24 +35,27 @@ def rand_seq(rng, num_frames, num_vertices):
     return seq(rng.normal(0.0, 1.0, (num_frames, num_vertices, 3)))
 
 
-class TestWindowSpec:
+class TestWindowRadius:
     def test_defaults(self):
-        w = WindowSpec()
-        assert w.sigma == 2
+        s = rand_seq(np.random.default_rng(5), 12, 2)
+        np.testing.assert_array_equal(energies(s), energies(s, 2))
 
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ConstraintError):
-            WindowSpec(-1)
+        message = "window radius must be a nonnegative integer, got -1$"
+        with pytest.raises(ConstraintError, match=message):
+            coarticulation_weights(seq(MICRO_FRAMES), -1)
 
     def test_huge_integer_radius(self):
         assert require_integer(10**400, "x") == 10**400
-        assert WindowSpec(10**400).sigma == 10**400
+        s = rand_seq(np.random.default_rng(6), 7, 2)
+        # any radius >= T-1 spans all T-1 differences
+        np.testing.assert_array_equal(energies(s, 10**400), energies(s, 6))
 
 
-def energies(s, window=WindowSpec()):
+def energies(s, sigma=2):
     """Windowed motion energy by 0-based frame, as coarticulation_weights
     reports it."""
-    return coarticulation_weights(s, window).raw_energy
+    return coarticulation_weights(s, sigma).raw_energy
 
 
 class TestMotionEnergy:
@@ -61,7 +63,7 @@ class TestMotionEnergy:
         assert energies(seq(np.ones((5, 2, 3))))[2] == 0.0
 
     def test_micro_example_clamp(self):
-        e = energies(seq(MICRO_FRAMES), WindowSpec(1))
+        e = energies(seq(MICRO_FRAMES), 1)
         assert e[0] == 1.0
         assert e[1] == 0.5
         assert e[2] == 0.5
@@ -72,7 +74,7 @@ class TestMotionEnergy:
         frames[:, :, 0] = t[:, None] * 0.5  # step norm^2 = 2 * 0.25 = 0.5
         s = seq(frames)
         # clamped windows at the ends and whole ones inside alike
-        assert energies(s, WindowSpec(2)) == pytest.approx([0.5] * 6)
+        assert energies(s, 2) == pytest.approx([0.5] * 6)
 
     def test_matches_clamp_oracle(self):
         rng = np.random.default_rng(11)
@@ -80,7 +82,7 @@ class TestMotionEnergy:
             num_frames = int(rng.integers(2, 41))
             sigma = int(rng.integers(0, 9))
             frames = rng.normal(0.0, 1.0, (num_frames, 2, 3))
-            got = energies(seq(frames), WindowSpec(sigma))
+            got = energies(seq(frames), sigma)
             for frame in range(num_frames):
                 expected = oracles.window_energy_clamp(frames.tolist(), frame + 1, sigma)
                 assert got[frame] == pytest.approx(expected, rel=1e-12)
@@ -92,7 +94,7 @@ class TestMotionEnergy:
         frames = rng.normal(0.0, 1.0, (9, 2, 3))
         s = seq(frames)
         for sigma in (1, 2, 3):
-            got = energies(s, WindowSpec(sigma))
+            got = energies(s, sigma)
             for frame in range(sigma, 9 - sigma):
                 expected = oracles.window_energy_strict(frames.tolist(), frame + 1, sigma)
                 assert got[frame] == pytest.approx(expected, rel=1e-12)
@@ -108,7 +110,7 @@ class TestCoarticulationWeights:
         assert w.weights == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_micro_example(self):
-        w = coarticulation_weights(seq(MICRO_FRAMES), WindowSpec(1))
+        w = coarticulation_weights(seq(MICRO_FRAMES), 1)
         assert w.raw_energy == pytest.approx([1.0, 0.5, 0.5], abs=1e-15)
         expected = oracles.softmax([1.0, 0.5, 0.5])
         assert w.weights == pytest.approx(expected, abs=1e-12)
@@ -123,7 +125,7 @@ class TestCoarticulationWeights:
     )
     def test_normalization_property(self, seed, num_frames, num_vertices, sigma):
         rng = np.random.default_rng(seed)
-        w = coarticulation_weights(rand_seq(rng, num_frames, num_vertices), WindowSpec(sigma))
+        w = coarticulation_weights(rand_seq(rng, num_frames, num_vertices), sigma)
         assert len(w.weights) == len(w.raw_energy) == num_frames
         assert abs(w.weights.sum() - 1.0) <= 1e-9
         assert np.all(w.weights > 0)
@@ -133,13 +135,13 @@ class TestCoarticulationWeights:
     def test_matches_oracle(self, seed, sigma):
         rng = np.random.default_rng(seed)
         frames = rng.normal(0.0, 1.0, (int(rng.integers(2, 10)), 2, 3))
-        w = coarticulation_weights(seq(frames), WindowSpec(sigma))
+        w = coarticulation_weights(seq(frames), sigma)
         expected = oracles.weights_clamp(frames.tolist(), sigma)
         assert w.weights == pytest.approx(expected, abs=1e-12)
 
     def test_order_preservation(self):
         rng = np.random.default_rng(5)
-        w = coarticulation_weights(rand_seq(rng, 12, 3), WindowSpec(1))
+        w = coarticulation_weights(rand_seq(rng, 12, 3), 1)
         order_raw = np.argsort(w.raw_energy, kind="stable")
         order_weight = np.argsort(w.weights, kind="stable")
         assert np.array_equal(order_raw, order_weight)
@@ -160,7 +162,7 @@ class TestCoarticulationWeights:
             frames = rng.normal(0.0, 1.0, (num_frames, 2, 3))
             listed = frames.tolist()
             for sigma in range(9):
-                clamp = coarticulation_weights(seq(frames), WindowSpec(sigma)).raw_energy
+                clamp = coarticulation_weights(seq(frames), sigma).raw_energy
                 expected = [
                     oracles.window_energy_clamp(listed, t1, sigma)
                     for t1 in range(1, num_frames + 1)
@@ -177,11 +179,11 @@ class TestCoarticulationWeights:
     def test_gather_in_blocks_matches_one_block(self, monkeypatch):
         rng = np.random.default_rng(14)
         frames = rng.normal(0.0, 1.0, (23, 2, 3))
-        whole = [coarticulation_weights(seq(frames), WindowSpec(s)).raw_energy for s in range(9)]
+        whole = [coarticulation_weights(seq(frames), s).raw_energy for s in range(9)]
         # a tiny block budget forces several blocks, some holding one row
         monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", 20)
         for sigma in range(9):
-            blocked = coarticulation_weights(seq(frames), WindowSpec(sigma)).raw_energy
+            blocked = coarticulation_weights(seq(frames), sigma).raw_energy
             assert np.array_equal(blocked, whole[sigma])
 
     def test_coordinate_scale_sharpens(self):
@@ -199,7 +201,7 @@ class TestCoarticulationWeights:
     def test_large_energies_do_not_overflow(self):
         frames = np.zeros((3, 1, 3))
         frames[1, 0, 0] = 40.0  # step norm^2 = 1600, exp(1600) overflows naively
-        w = coarticulation_weights(seq(frames), WindowSpec(0))
+        w = coarticulation_weights(seq(frames), 0)
         assert np.all(np.isfinite(w.weights))
         assert abs(w.weights.sum() - 1.0) <= 1e-9
 
@@ -251,7 +253,7 @@ class TestLosses:
     def test_pc_micro_example_unit_offset(self):
         gt = seq(MICRO_FRAMES)
         pred = MeshSequence(gt.frames + [1.0, 0.0, 0.0], gt.fps)
-        w = coarticulation_weights(gt, WindowSpec(1))
+        w = coarticulation_weights(gt, 1)
         assert loss_pc(gt, pred, w).total == pytest.approx(1.0, abs=1e-12)
 
     def test_pc_static_equals_rec_over_t(self):
@@ -274,14 +276,14 @@ class TestLosses:
     def test_pc_matches_oracle(self):
         rng = np.random.default_rng(6)
         gt, pred = rand_seq(rng, 8, 3), rand_seq(rng, 8, 3)
-        w = coarticulation_weights(gt, WindowSpec(2))
+        w = coarticulation_weights(gt, 2)
         expected = oracles.loss_pc(gt.frames.tolist(), pred.frames.tolist(), w.weights)
         assert loss_pc(gt, pred, w).total == pytest.approx(expected, rel=1e-12)
 
     def test_pc_rejects_partial_weights(self):
         rng = np.random.default_rng(7)
         gt, pred = rand_seq(rng, 9, 2), rand_seq(rng, 9, 2)
-        w = coarticulation_weights(gt, WindowSpec(2))
+        w = coarticulation_weights(gt, 2)
         interior = CoarticulationWeights(w.weights[2:7], w.raw_energy[2:7])
         with pytest.raises(ConstraintError):
             loss_pc(gt, pred, interior)
@@ -332,7 +334,7 @@ class TestGradients:
         num_vertices = int(rng.integers(1, 4))
         gt = rand_seq(rng, num_frames, num_vertices)
         pred = rand_seq(rng, num_frames, num_vertices)
-        w = coarticulation_weights(gt, WindowSpec(int(rng.integers(0, 4))))
+        w = coarticulation_weights(gt, int(rng.integers(0, 4)))
         cases = [
             (grad_loss_rec(gt, pred), lambda frames: loss_rec(gt, seq(frames)).total),
             (grad_loss_vel(gt, pred), lambda frames: loss_vel(gt, seq(frames)).total),

@@ -1,8 +1,4 @@
-"""Smoke test: the narrative demos run to completion against the source tree.
-
-Demo 06 (the window ablation) is left out because acceptance criterion 8
-already runs the same pipeline.
-"""
+"""Smoke test: the narrative demos run to completion against the source tree."""
 
 import os
 import subprocess
@@ -18,6 +14,7 @@ DEMOS = [
     "03_metrics_and_dtw.py",
     "04_synthetic_corpus.py",
     "05_toy_training.py",
+    "06_window_ablation.py",
 ]
 
 

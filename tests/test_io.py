@@ -20,7 +20,6 @@ from visemekit import (
     SynthSpec,
     TrainConfig,
     VertexRegionMask,
-    WindowSpec,
     ablate_window,
     coarticulation_weights,
     demo_spec,
@@ -385,7 +384,7 @@ class TestCsvReports:
 
     def test_weight_rows_one_based(self):
         track = seq(np.zeros((4, 1, 3)))
-        lines = format_csv_report(coarticulation_weights(track, WindowSpec(2))).splitlines()
+        lines = format_csv_report(coarticulation_weights(track, 2)).splitlines()
         assert lines[0] == "t,raw_energy,weight"
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3", "4"]
         assert all(row.split(",")[2] == "0.25" for row in lines[1:])
@@ -467,7 +466,7 @@ class TestCsvColumns:
     @pytest.mark.parametrize("sigma", [0, 2, 5])
     def test_weights_match_row_loop(self, sigma):
         track = self.track(80, seed=sigma)
-        weights = coarticulation_weights(track, WindowSpec(sigma))
+        weights = coarticulation_weights(track, sigma)
         expected = oracles.csv_rows_loop(
             ["t", "raw_energy", "weight"], 1, [weights.raw_energy, weights.weights]
         )
@@ -482,7 +481,7 @@ class TestCsvColumns:
         elif kind == "vel":
             report = loss_vel(gt, pred)
         else:
-            report = loss_pc(gt, pred, coarticulation_weights(gt, WindowSpec(2)))
+            report = loss_pc(gt, pred, coarticulation_weights(gt, 2))
         expected = oracles.csv_rows_loop(
             ["t", "loss"],
             2 if kind == "vel" else 1,

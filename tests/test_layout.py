@@ -3,8 +3,8 @@ module sits at module level, where the stack can be read off the file. The
 independent references the tests check the package against import nothing
 from it. Each module's `__all__` is the one list of its public names, and the
 package republishes those lists. The README's usage block lists exactly the
-options of each subcommand's parser, and its train-config sentence exactly the
-config parser's keys."""
+options of each subcommand's parser, its train-config sentence exactly the
+config parser's keys, and its quick tour runs."""
 
 import argparse
 import ast
@@ -178,3 +178,11 @@ def test_readme_config_keys_are_the_parser_keys():
     (sentence,) = re.findall(r"A train config takes (.*?);", (ROOT / "README.md").read_text(), re.S)
     named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence))
     assert sorted(named) == sorted(io._CONFIG_SCALARS)
+
+
+def test_readme_quick_tour_runs(capsys):
+    """The README's one Python block runs against the package as it is, so a
+    name it imports cannot outlive the package's public list."""
+    (tour,) = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    exec(compile(tour, "README.md", "exec"), {})
+    assert capsys.readouterr().out

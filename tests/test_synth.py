@@ -15,7 +15,6 @@ from visemekit import (
     ConstraintError,
     MeshSequence,
     SynthSpec,
-    WindowSpec,
     coarticulation_weights,
     demo_spec,
     frame_difference_norms,
@@ -88,7 +87,7 @@ class TestGenVisemeTrack:
     def test_high_motion_is_energy_above_median(self):
         spec = demo_spec(seed=4, jitter_amplitude=0.0)
         seq, annotation = gen_viseme_track(spec)
-        energy = coarticulation_weights(seq, WindowSpec()).raw_energy
+        energy = coarticulation_weights(seq).raw_energy
         assert np.array_equal(annotation.high_motion, energy > np.median(energy))
 
     @pytest.mark.parametrize("num_frames", [2, 121, 122])
@@ -126,7 +125,7 @@ class TestGenVisemeTrack:
     def test_transition_energy_above_hold_energy(self):
         spec = demo_spec(seed=5, jitter_amplitude=0.0)
         seq, annotation = gen_viseme_track(spec)
-        energy = coarticulation_weights(seq, WindowSpec()).raw_energy
+        energy = coarticulation_weights(seq).raw_energy
         tmask = annotation.transition_mask()
         assert tmask.any() and (~tmask).any()
         assert np.median(energy[tmask]) > np.median(energy[~tmask])
@@ -197,6 +196,13 @@ class TestGenVisemeTrack:
             with pytest.raises(ConstraintError, match="MSQ"):
                 two_shape_spec(fps=fps, viseme_targets=((0.0, "a"), (last, "b")))
 
+    @pytest.mark.parametrize("num_vertices", [0, -2, 1.5])
+    def test_vertex_count_is_a_positive_integer(self, num_vertices):
+        with pytest.raises(
+            ConstraintError, match=rf"num_vertices must be an integer >= 1, got {num_vertices}$"
+        ):
+            two_shape_spec(num_vertices=num_vertices)
+
     def test_infinite_halfwidth_clamps_to_half_the_gap(self):
         wide, _ = gen_viseme_track(two_shape_spec(blend_halfwidth=float("inf")))
         half_gap, _ = gen_viseme_track(two_shape_spec(blend_halfwidth=0.5))
@@ -212,7 +218,7 @@ def _render_like_loop(spec):
     clean = MeshSequence(frames, spec.fps)
     energy = np.zeros(clean.num_frames)
     if clean.num_frames >= 2:
-        energy = coarticulation_weights(clean, WindowSpec()).raw_energy
+        energy = coarticulation_weights(clean).raw_energy
     a = spec.jitter_amplitude
     if a > 0:
         frames = frames + np.random.default_rng(spec.seed).uniform(-a, a, frames.shape)

@@ -13,7 +13,6 @@ from visemekit import (
     SegmentAnnotation,
     TrainConfig,
     VertexRegionMask,
-    WindowSpec,
     ablate_window,
     coarticulation_weights,
     evaluate,
@@ -94,7 +93,7 @@ def direct_objective(gt, coef, cfg, basis):
     """The objective composed the slow way: losses on the basis prediction."""
     pred = seq(np.tensordot(basis, coef, axes=(1, 0)))
     if cfg.loss_choice is LossKind.PC:
-        weights = coarticulation_weights(gt, WindowSpec(cfg.sigma))
+        weights = coarticulation_weights(gt, cfg.sigma)
         total = loss_pc(gt, pred, weights).total
         grad = grad_loss_pc(gt, pred, weights)
     else:
@@ -272,7 +271,7 @@ class TestFit:
         cfg = TrainConfig(loss_choice=LossKind.REC, sigma=sigma, learning_rate=0.2, steps=300,
                           seed=2, num_basis=10)
         report = fit(gt, cfg)
-        weights = coarticulation_weights(gt, WindowSpec(sigma))
+        weights = coarticulation_weights(gt, sigma)
         assert report.weights.weights.tobytes() == weights.weights.tobytes()
         final_pc = loss_pc(gt, report.prediction, report.weights).total
         assert final_pc == loss_pc(gt, report.prediction, weights).total
@@ -300,7 +299,7 @@ def objective_inputs(gt, cfg):
     """The oracles' inputs for cfg's objective on gt: the basis, the frame
     weights (ones for REC) and the flattened targets."""
     num_frames = gt.num_frames
-    weights = coarticulation_weights(gt, WindowSpec(cfg.sigma)).weights
+    weights = coarticulation_weights(gt, cfg.sigma).weights
     w = weights if cfg.loss_choice is LossKind.PC else np.ones(num_frames)
     return temporal_basis(num_frames, cfg.num_basis), w, gt.frames.reshape(num_frames, -1)
 
