@@ -71,13 +71,13 @@ def cmd_weights(args) -> int:
 def cmd_loss(args) -> int:
     gt = io.read_msq(args.gt)
     pred = io.read_msq(args.pred)
-    if args.kind == "rec":
-        report = loss_rec(gt, pred)
-    elif args.kind == "vel":
-        report = loss_vel(gt, pred)
-    else:
-        weights = coarticulation_weights(gt, args.sigma)
-        report = loss_pc(gt, pred, weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error raised below
+        if args.kind == "pc":
+            report = loss_pc(gt, pred, coarticulation_weights(gt, args.sigma))
+        else:
+            report = (loss_rec if args.kind == "rec" else loss_vel)(gt, pred)
+    if not np.isfinite(report.total):  # a sum of terms >= 0: finite iff each term is
+        raise ConstraintError("loss is not finite")
     _emit(report, args.out)
     return 0
 
@@ -85,7 +85,10 @@ def cmd_loss(args) -> int:
 def cmd_metrics(args) -> int:
     gt = io.read_msq(args.gt)
     pred = io.read_msq(args.pred)
-    report = metrics.evaluate(gt, pred, _load_lips(args.lips, gt.num_vertices))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the error raised below
+        report = metrics.evaluate(gt, pred, _load_lips(args.lips, gt.num_vertices))
+    if not np.isfinite([report.fve, report.lve, report.ldtw, report.lip_max]).all():
+        raise ConstraintError("a metric is not finite")
     _emit(report, args.out)
     return 0
 
@@ -178,6 +181,8 @@ def _parse_sigmas(text: str) -> list[int]:
 def cmd_gradcheck(args) -> int:
     require_integer(args.trials, "--trials", 1)
     require_integer(args.seed, "--seed")
+    if not 0 <= args.tolerance < np.inf:  # nan fails both comparisons
+        raise ConstraintError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     worst = dict.fromkeys(("rec", "vel", "pc", "toy"), 0.0)
     fps = 30.0

@@ -277,8 +277,8 @@ def write_loss_curve(curve, path) -> None:
 #
 # Grammar shared by synthesis specs and train configs: one `key = value` pair
 # per line, `#` starts a comment line, blank lines are skipped. The formatters
-# emit a canonical ordering with shortest round-trip float literals, so equal
-# objects serialize to identical bytes (which is what gets hashed).
+# write scalar keys in table order, none for a None field, floats as shortest
+# round-trip literals, so equal objects serialize to identical bytes (what gets hashed).
 
 
 def _kv_lines(text: str):
@@ -309,6 +309,17 @@ def _read_scalars(lines, table, what: str) -> dict:
         raise FormatError(f"bad {what} value: {exc}") from None
 
 
+def _scalar_lines(obj, table) -> list[str]:
+    """The lines _read_scalars reads `obj`'s `table` fields from, in table order."""
+    lines = []
+    for key, (field, parse) in table.items():
+        value = getattr(obj, field)
+        if value is not None:
+            value = value.value if isinstance(value, LossKind) else value
+            lines.append(f"{key} = {repr(float(value)) if parse is float else value}")
+    return lines
+
+
 # text key -> (SynthSpec field, parser); the shape.* and target lines are not scalars
 _SPEC_SCALARS = {
     key: (key, parse)
@@ -318,15 +329,7 @@ _SPEC_SCALARS = {
 
 
 def format_synth_spec(spec: SynthSpec) -> str:
-    lines = [
-        f"num_vertices = {spec.num_vertices}",
-        f"fps = {float(spec.fps)!r}",
-        f"blend_halfwidth = {float(spec.blend_halfwidth)!r}",
-        f"jitter_amplitude = {float(spec.jitter_amplitude)!r}",
-        f"seed = {spec.seed}",
-    ]
-    if spec.label is not None:
-        lines.append(f"label = {spec.label}")
+    lines = _scalar_lines(spec, _SPEC_SCALARS)
     for name in sorted(spec.shape_bank):
         flat = np.asarray(spec.shape_bank[name], dtype=np.float64).ravel()
         lines.append(f"shape.{name} = " + " ".join(repr(float(v)) for v in flat))
@@ -388,16 +391,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
 
 
 def format_train_config(cfg: TrainConfig) -> str:
-    lines = [
-        f"loss = {cfg.loss_choice.value}",
-        f"sigma = {cfg.sigma}",
-        f"learning_rate = {float(cfg.learning_rate)!r}",
-        f"steps = {cfg.steps}",
-        f"seed = {cfg.seed}",
-    ]
-    if cfg.num_basis is not None:
-        lines.append(f"num_basis = {cfg.num_basis}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_scalar_lines(cfg, _CONFIG_SCALARS)) + "\n"
 
 
 def _loss_choice(text: str) -> LossKind:

@@ -178,14 +178,14 @@ def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
     left, singular, right = np.linalg.svd(design, full_matrices=False)
     reach = left.T @ gap
     outside = gap - left @ reach
-    rate = cfg.learning_rate * singular * singular  # a mode is stable iff 0 < rate < 1
     # a singular value of exactly 0 (PC weights that underflowed) gets no shift
     shift = np.divide(reach, singular[:, None], out=np.zeros_like(reach),
                       where=singular[:, None] != 0)
-    log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as s -> 0
     curve = np.full(cfg.steps, float(np.vdot(outside, outside)))
     curve[:1] = np.vdot(gap, gap)  # f(0) is evaluated, as objective_and_gradient does
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rate = cfg.learning_rate * singular * singular  # a mode is stable iff 0 < rate < 1
+        log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as s -> 0
         log_reach2 = np.log(np.sum(reach * reach, axis=1))  # log |r_k|^2
         for rows in _row_blocks(1, cfg.steps, num_basis):
             x = np.arange(rows.start, rows.stop)[:, None] * log_rho2 + log_reach2

@@ -42,6 +42,12 @@ def table(text):
     return [line.split(",") for line in text.splitlines()]
 
 
+def huge_track(tmp_path):
+    """Finite coordinates near 1e200, whose squared errors against zeros overflow."""
+    frames = np.random.default_rng(12).normal(0.0, 1.0, (10, 4, 3)) * 1e200
+    return msq(tmp_path, "huge.msq", frames)
+
+
 class TestWeights:
     def test_static_track_is_uniform(self, tmp_path, capsys):
         gt = msq(tmp_path, "gt.msq", np.zeros((4, 1, 3)))
@@ -143,6 +149,15 @@ class TestLoss:
         assert main(args + [str(sigma)]) == 0
         assert capsys.readouterr().out == whole
 
+    @pytest.mark.parametrize("kind", ["rec", "vel"])
+    def test_overflowing_loss(self, tmp_path, capsys, kind):
+        pred = msq(tmp_path, "pred.msq", np.zeros((10, 4, 3)))
+        out = tmp_path / "loss.csv"
+        args = ["loss", "--gt", huge_track(tmp_path), "--pred", pred, "--kind", kind]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: loss is not finite\n")
+        assert not out.exists()
+
     def test_shape_mismatch(self, tmp_path, capsys):
         gt = msq(tmp_path, "gt.msq", np.zeros((2, 1, 3)))
         pred = msq(tmp_path, "pred.msq", np.zeros((3, 1, 3)))
@@ -187,6 +202,16 @@ class TestMetrics:
             evaluate(read_msq(gt), read_msq(pred), VertexRegionMask(np.array([0, 3])))
         )
         assert capsys.readouterr().out == expected
+
+    def test_overflowing_errors(self, tmp_path, capsys):
+        pred = msq(tmp_path, "pred.msq", np.zeros((10, 4, 3)))
+        lips = tmp_path / "lips.txt"
+        lips.write_text("0\n2\n")
+        out = tmp_path / "metrics.csv"
+        args = ["metrics", "--gt", huge_track(tmp_path), "--pred", pred, "--lips", str(lips)]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: a metric is not finite\n")
+        assert not out.exists()
 
     def test_mask_out_of_range(self, tmp_path, capsys):
         gt = msq(tmp_path, "gt.msq", np.zeros((2, 2, 3)))
@@ -546,6 +571,22 @@ class TestTrain:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_overflowing_learning_rate(self, tmp_path, capsys, command):
+        # learning_rate * s^2 overflows in fit's step-size arithmetic: the
+        # divergence error line is all the run writes, with no numpy warning
+        rng = np.random.default_rng(6)
+        gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (10, 2, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("loss = rec\nlearning_rate = 1e200\nsteps = 3\nnum_basis = 3\n")
+        out = tmp_path / "run"
+        assert main([command, "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: loss became non-finite at step 1 (")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAblate:
     def test_table_and_best_sigma(self, tmp_path, capsys):
@@ -664,6 +705,14 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert "step must be finite and positive" in captured.err
         assert "OK" not in captured.out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_tolerance_checked_before_any_trial(self, capsys, tolerance):
+        # nan and -1 would fail every run after all its trials, inf pass any
+        assert main(["gradcheck", "--tolerance", tolerance]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --tolerance must be finite and >= 0, got {float(tolerance)}\n"
+        )
 
     def test_nan_error_fails(self, capsys, monkeypatch):
         # a NaN first error must survive the later finite ones: max() kept 0.0

@@ -1,10 +1,11 @@
 import os
 import struct
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -761,24 +762,64 @@ train_configs = st.builds(
 )
 
 
+def scalar_keys(text):
+    """The keys of a text's scalar lines, in text order."""
+    keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
+    return [key for key in keys if key != "target" and not key.startswith("shape.")]
+
+
+def set_keys(obj, table):
+    """The keys of `table` whose field of `obj` is not None, in table order."""
+    return [key for key, (field, _) in table.items() if getattr(obj, field) is not None]
+
+
+# every scalar differs from two_shape_spec()'s
+OTHER_SPEC = SynthSpec(num_vertices=1, fps=25.0, viseme_targets=((0.0, "z"),),
+                       shape_bank={"z": np.ones((1, 3))}, blend_halfwidth=0.5,
+                       jitter_amplitude=0.1, seed=8, label="other")
+
+
 class TestTextRoundTrips:
     @settings(max_examples=80, deadline=None)
     @given(spec=synth_specs())
+    @example(spec=two_shape_spec())
+    @example(spec=two_shape_spec(label="x"))
     def test_synth_spec(self, spec):
         text = format_synth_spec(spec)
         parsed = parse_synth_spec(text)
         assert format_synth_spec(parsed) == text
         assert spec_hash(parsed) == spec_hash(spec)
-        assert parsed.label == spec.label
-        assert parsed.viseme_targets == spec.viseme_targets
+        for field in fields(SynthSpec):
+            if field.name != "shape_bank":
+                assert getattr(parsed, field.name) == getattr(spec, field.name), field.name
         assert sorted(parsed.shape_bank) == sorted(spec.shape_bank)
+        for name, shape in spec.shape_bank.items():
+            assert np.array_equal(parsed.shape_bank[name], shape)
+        assert scalar_keys(text) == set_keys(spec, vio._SPEC_SCALARS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=synth_specs(), other=synth_specs())
+    @example(spec=two_shape_spec(), other=OTHER_SPEC)
+    @example(spec=OTHER_SPEC, other=two_shape_spec())
+    def test_every_spec_scalar_is_hashed(self, spec, other):
+        for key, (field, _) in vio._SPEC_SCALARS.items():
+            value = getattr(other, field)
+            if value == getattr(spec, field):
+                continue
+            changed = {field: value}
+            if field == "num_vertices":  # the bank's shapes have one row per vertex
+                changed["shape_bank"] = {name: np.zeros((value, 3)) for name in spec.shape_bank}
+            assert spec_hash(replace(spec, **changed)) != spec_hash(spec), key
 
     @settings(max_examples=80, deadline=None)
     @given(cfg=train_configs)
+    @example(cfg=TrainConfig())
+    @example(cfg=TrainConfig(num_basis=5))
     def test_train_config(self, cfg):
         text = format_train_config(cfg)
         assert parse_train_config(text) == cfg
         assert format_train_config(parse_train_config(text)) == text
+        assert scalar_keys(text) == set_keys(cfg, vio._CONFIG_SCALARS)
 
     def test_label_cannot_carry_a_shape_line(self):
         # the label's second line read back as a shape, so this spec formatted

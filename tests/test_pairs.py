@@ -1,5 +1,5 @@
-"""tools/pairs.py's parsing and summary, on canned benchmark output; no
-benchmark runs here."""
+"""tools/pairs.py's parsing and summary, on canned benchmark and pytest
+output; no benchmark or nested pytest runs here."""
 
 import importlib.util
 import json
@@ -104,3 +104,26 @@ def test_fewer_failed_ops_than_the_parent_is_judged_on_the_metrics():
         for k in range(10)
     ]
     assert pairs.summarize(runs, END_TO_END)["op_p50_ms"]["verdict"] == "gain"
+
+
+@pytest.mark.parametrize(
+    "stdout, counts",
+    [
+        ("...\n585 passed in 17.24s\n", (585, 0, 0)),
+        # a FAILED line above the summary names an outcome too; only the last line counts
+        ("F.\nFAILED tests/test_a.py::test_b - assert 1 passed\n"
+         "2 failed, 583 passed, 1 error in 20.01s\n", (583, 2, 1)),
+        ("E\n1 failed, 3 errors in 65.12s (0:01:05)\n", (0, 1, 3)),
+        ("========== 4 passed, 1 skipped, 2 warnings in 0.50s ==========\n", (4, 0, 0)),
+        ("no tests ran in 0.01s\n", (0, 0, 0)),
+    ],
+)
+def test_pytest_summary_counts(stdout, counts):
+    summary = pairs.parse_pytest_summary(stdout)
+    assert (summary["passed"], summary["failed"], summary["errors"]) == counts
+
+
+@pytest.mark.parametrize("stdout", ["", "ImportError while loading conftest\n"])
+def test_output_without_a_summary_line(stdout):
+    with pytest.raises(ValueError, match="no pytest summary line"):
+        pairs.parse_pytest_summary(stdout)

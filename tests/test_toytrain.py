@@ -216,6 +216,18 @@ class TestFit:
         assert excinfo.value.step > 0
         assert "(learning_rate*lambda_max = 162; stable below 1)" in str(excinfo.value)
 
+    @pytest.mark.parametrize("learning_rate", [1e200, 1e305, 1e308])
+    @pytest.mark.parametrize("loss", [LossKind.REC, LossKind.PC])
+    def test_overflowing_step_size_diverges_at_step_one(self, learning_rate, loss):
+        # no errstate here: the step-size arithmetic overflows, and that is
+        # the divergence fit reports, not a numpy warning
+        rng = np.random.default_rng(6)
+        gt = seq(rng.normal(0.0, 1.0, (10, 2, 3)))
+        cfg = TrainConfig(loss_choice=loss, learning_rate=learning_rate, steps=3, num_basis=3)
+        with pytest.raises(DivergenceError) as excinfo:
+            fit(gt, cfg)
+        assert excinfo.value.step == 1
+
     def test_capacity_bottleneck_enforced(self):
         gt = seq(np.zeros((5, 1, 3)))
         with pytest.raises(ConstraintError):

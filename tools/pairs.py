@@ -24,6 +24,11 @@ neither side) and a verdict:
 - `unresolved`: neither, and the parent's interquartile range is wider than
   the bound, unless every change run reads better than every parent run;
 - `within bound`: otherwise.
+
+After the pairs it runs the tier-1 suite (`python -m pytest -q
+--continue-on-collection-errors` with `src` on PYTHONPATH) once in the parent
+tree and once in the working tree, and writes each side's wall seconds and its
+passed, failed and error counts under the top-level `tier1` key.
 """
 
 from __future__ import annotations
@@ -31,15 +36,19 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".benchwork"
 PAIRS = 10  # per workload; a gain needs at least nine of ten pairs won
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def export_parent(rev: str) -> tuple[str, Path]:
@@ -82,6 +91,32 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"benchmark run failed in {tree} (seed {seed}): {done.stderr.strip()}")
     return {"seed": seed, **parse_run(done.stdout)}
+
+
+def parse_pytest_summary(stdout: str) -> dict:
+    """Passed, failed and error counts from the summary line that ends
+    pytest's output, such as `2 failed, 583 passed, 1 error in 20.01s`."""
+    lines = stdout.strip().splitlines()
+    summary = lines[-1].strip("= ") if lines else ""
+    if " in " not in summary:
+        raise ValueError(f"no pytest summary line, the output ends {summary!r}")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary.rsplit(" in ", 1)[0])}
+    return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("errors", counts.get("error", 0))}
+
+
+def run_tier1(tree: Path) -> dict:
+    """Wall seconds and outcome counts of one tier-1 run in `tree`."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=tree, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    wall_s = time.perf_counter() - start
+    try:
+        counts = parse_pytest_summary(done.stdout)
+    except ValueError as exc:
+        raise SystemExit(f"tier-1 run failed in {tree}: {exc}: {done.stderr.strip()}") from None
+    return {"wall_s": round(wall_s, 3), **counts}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -166,6 +201,11 @@ def main(argv=None) -> int:
             record["workloads"][workload]["summary"] = summarize(pairs, bench["end_to_end"])
             out.write_text(json.dumps(record, indent=1) + "\n")
             print(f"{workload} pair {k + 1}/{PAIRS} (seed {seed}) done", file=sys.stderr)
+    record["tier1"] = {}
+    for side, tree in (("parent", parent_tree), ("change", ROOT)):
+        record["tier1"][side] = run_tier1(tree)
+        out.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"tier-1 {side}: {record['tier1'][side]}", file=sys.stderr)
     return 0
 
 
