@@ -1,10 +1,9 @@
-"""The three training losses on the same prediction error.
+"""The two training losses on the same prediction error.
 
-The reconstruction loss charges every frame equally, the velocity loss
-charges mismatched frame-to-frame motion, and the weighted loss charges
-most where the ground truth moves most. The analytic gradients are checked
-against central finite differences at the end: `central_difference` probes
-the weighted loss as a function of the predicted frames alone.
+The reconstruction loss charges every frame equally, and the weighted loss
+charges most where the ground truth moves most. The weighted loss's analytic
+gradient is checked against central finite differences at the end:
+`central_difference` probes it as a function of the predicted frames alone.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from visemekit import (
     grad_loss_pc,
     loss_pc,
     loss_rec,
-    loss_vel,
     relative_gradient_error,
 )
 
@@ -28,11 +26,10 @@ gt = MeshSequence(frames, fps=30.0)
 pred = MeshSequence(frames + rng.normal(0.0, 0.05, frames.shape), fps=30.0)
 
 rec = loss_rec(gt, pred)
-vel = loss_vel(gt, pred)
 weights = coarticulation_weights(gt, 2)
 pc = loss_pc(gt, pred, weights)
 
-print(f"rec total {rec.total:.6f}  vel total {vel.total:.6f}  pc total {pc.total:.6f}")
+print(f"rec total {rec.total:.6f}  pc total {pc.total:.6f}")
 print("frame  rec_loss   pc_loss    weight")
 for i in range(gt.num_frames):
     print(

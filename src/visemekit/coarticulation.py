@@ -29,10 +29,8 @@ __all__ = [
     "LossReport",
     "coarticulation_weights",
     "loss_rec",
-    "loss_vel",
     "loss_pc",
     "grad_loss_rec",
-    "grad_loss_vel",
     "grad_loss_pc",
     "central_difference",
     "relative_gradient_error",
@@ -53,21 +51,15 @@ class CoarticulationWeights:
 
 class LossKind(Enum):
     REC = "rec"
-    VEL = "vel"
     PC = "pc"
 
 
 @dataclass(frozen=True)
 class LossReport:
-    """Scalar loss plus its per-frame breakdown.
-
-    For VEL the breakdown has T-1 entries; entry j is the term for the step
-    into frame j+1. For REC/PC entry t is frame t's contribution.
-    """
+    """Scalar loss plus its per-frame breakdown: entry t is frame t's term."""
 
     total: float
     per_frame: np.ndarray
-    kind: LossKind
 
 
 # -- windowed motion energy --------------------------------------------------
@@ -136,17 +128,7 @@ def _per_frame_sq_error(gt: MeshSequence, pred: MeshSequence) -> np.ndarray:
 def loss_rec(gt: MeshSequence, pred: MeshSequence) -> LossReport:
     """Plain reconstruction loss: per-frame squared vertex error, summed."""
     per_frame = _per_frame_sq_error(gt, pred)
-    return LossReport(float(per_frame.sum()), per_frame, LossKind.REC)
-
-
-def loss_vel(gt: MeshSequence, pred: MeshSequence) -> LossReport:
-    """Velocity loss: squared mismatch of frame-to-frame displacements."""
-    a, b = require_same_shape(gt, pred)
-    if len(a) < 2:
-        raise ConstraintError("velocity loss needs at least 2 frames")
-    dv = (a[1:] - a[:-1]) - (b[1:] - b[:-1])
-    per_frame = np.sum(dv * dv, axis=(1, 2))
-    return LossReport(float(per_frame.sum()), per_frame, LossKind.VEL)
+    return LossReport(float(per_frame.sum()), per_frame)
 
 
 def _check_weights(weights: CoarticulationWeights, num_frames: int) -> None:
@@ -166,7 +148,7 @@ def loss_pc(gt: MeshSequence, pred: MeshSequence, weights: CoarticulationWeights
     errors = _per_frame_sq_error(gt, pred)
     _check_weights(weights, len(errors))
     per_frame = weights.weights * errors
-    return LossReport(float(per_frame.sum()), per_frame, LossKind.PC)
+    return LossReport(float(per_frame.sum()), per_frame)
 
 
 # -- analytic gradients w.r.t. the predicted vertices ------------------------
@@ -176,19 +158,6 @@ def grad_loss_rec(gt: MeshSequence, pred: MeshSequence) -> np.ndarray:
     """d loss_rec / d pred, shape (T, V, 3)."""
     a, b = require_same_shape(gt, pred)
     return 2.0 * (b - a)
-
-
-def grad_loss_vel(gt: MeshSequence, pred: MeshSequence) -> np.ndarray:
-    """d loss_vel / d pred; frame t collects both difference terms touching t."""
-    a, b = require_same_shape(gt, pred)
-    if len(a) < 2:
-        raise ConstraintError("velocity loss needs at least 2 frames")
-    # d[j] is the step-(j -> j+1) velocity mismatch, gt minus pred.
-    d = (a[1:] - a[:-1]) - (b[1:] - b[:-1])
-    grad = np.zeros_like(b)
-    grad[1:] -= 2.0 * d
-    grad[:-1] += 2.0 * d
-    return grad
 
 
 def grad_loss_pc(

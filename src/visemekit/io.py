@@ -249,9 +249,7 @@ def format_csv_report(report) -> str:
     if isinstance(report, AblationResult):
         return _csv_text(_ablation_rows(report))
     if isinstance(report, LossReport):
-        # velocity terms start at the second frame, frame losses at the first
-        first_t = 2 if report.kind is LossKind.VEL else 1
-        table = _table_text(["t", "loss"], first_t, [report.per_frame])
+        table = _table_text(["t", "loss"], 1, [report.per_frame])
         return table + _csv_text([["total", _fmt(report.total)]])
     if isinstance(report, CoarticulationWeights):
         return _table_text(["t", "raw_energy", "weight"], 1, [report.raw_energy, report.weights])

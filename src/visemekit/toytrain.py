@@ -75,7 +75,7 @@ class TrainConfig:
     num_basis: int | None = None  # K; defaults to max(T // 4, 1)
 
     def __post_init__(self):
-        if self.loss_choice not in (LossKind.REC, LossKind.PC):
+        if not isinstance(self.loss_choice, LossKind):
             raise ConstraintError("loss_choice must be REC or PC")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConstraintError(
@@ -134,7 +134,7 @@ def objective_and_gradient(
     weights = coarticulation_weights(gt, cfg.sigma)
     design, observed = _least_squares(gt, cfg, temporal_basis(gt.num_frames, len(coef)), weights)
     residual = design @ coef.reshape(len(coef), -1) - observed
-    return float(np.vdot(residual, residual)), (2.0 * (design.T @ residual)).reshape(coef.shape)
+    return float(np.sum(residual * residual)), (2.0 * (design.T @ residual)).reshape(coef.shape)
 
 
 def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
@@ -181,8 +181,10 @@ def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
     # a singular value of exactly 0 (PC weights that underflowed) gets no shift
     shift = np.divide(reach, singular[:, None], out=np.zeros_like(reach),
                       where=singular[:, None] != 0)
-    curve = np.full(cfg.steps, float(np.vdot(outside, outside)))
-    curve[:1] = np.vdot(gap, gap)  # f(0) is evaluated, as objective_and_gradient does
+    # np.sum, not the BLAS dot, so the curve's bits do not depend on the
+    # BLAS thread count
+    curve = np.full(cfg.steps, float(np.sum(outside * outside)))
+    curve[:1] = np.sum(gap * gap)  # f(0) is evaluated, as objective_and_gradient does
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rate = cfg.learning_rate * singular * singular  # a mode is stable iff 0 < rate < 1
         log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as s -> 0

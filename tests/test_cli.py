@@ -7,6 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from visemekit import (
@@ -121,7 +122,7 @@ class TestWeights:
 
 
 class TestLoss:
-    @pytest.mark.parametrize("kind", ["rec", "vel", "pc"])
+    @pytest.mark.parametrize("kind", ["rec", "pc"])
     def test_identical_sequences_zero_total(self, tmp_path, capsys, kind):
         rng = np.random.default_rng(0)
         frames = rng.normal(0.0, 1.0, (6, 2, 3))
@@ -149,7 +150,7 @@ class TestLoss:
         assert main(args + [str(sigma)]) == 0
         assert capsys.readouterr().out == whole
 
-    @pytest.mark.parametrize("kind", ["rec", "vel"])
+    @pytest.mark.parametrize("kind", ["rec"])
     def test_overflowing_loss(self, tmp_path, capsys, kind):
         pred = msq(tmp_path, "pred.msq", np.zeros((10, 4, 3)))
         out = tmp_path / "loss.csv"
@@ -157,6 +158,14 @@ class TestLoss:
         assert main(args + ["--out", str(out)]) == 1
         assert capsys.readouterr() == ("", "error: loss is not finite\n")
         assert not out.exists()
+
+    def test_vel_is_a_usage_error(self, tmp_path, capsys):
+        # the trainer fits rec or pc; the velocity term is no loss
+        gt = msq(tmp_path, "gt.msq", np.zeros((2, 1, 3)))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["loss", "--gt", gt, "--pred", gt, "--kind", "vel"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'vel'" in capsys.readouterr().err
 
     def test_shape_mismatch(self, tmp_path, capsys):
         gt = msq(tmp_path, "gt.msq", np.zeros((2, 1, 3)))
@@ -476,6 +485,20 @@ class TestTrain:
         ]
         assert lines[1] == "steps,4"
 
+    def test_final_vel_matches_oracle(self, tmp_path, capsys):
+        # final_vel is the velocity mismatch of the prediction train wrote;
+        # at 6 frames of 2 vertices numpy sums in the loop's order
+        frames = np.random.default_rng(16).normal(0.0, 1.0, (6, 2, 3))
+        gt = msq(tmp_path, "gt.msq", frames)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 4\nnum_basis = 2\n")
+        out = tmp_path / "run"
+        assert main(["train", "--gt", gt, "--out", str(out), "--config", str(cfg)]) == 0
+        rows = dict(table((out / "report.csv").read_text())[1:])
+        pred = read_msq(out / "pred.msq").frames
+        want, _ = oracles.loss_vel(frames.tolist(), pred.tolist())
+        assert rows["final_vel"] == format(want, ".9g")
+
     def test_report_with_segments(self, tmp_path, capsys):
         rng = np.random.default_rng(15)
         gt = msq(tmp_path, "gt.msq", rng.normal(0.0, 1.0, (8, 2, 3)))
@@ -729,10 +752,12 @@ class TestGradcheck:
         assert out.strip().endswith("FAIL")
 
     def test_overflowing_step_fails(self, capsys):
-        # finite, but 2 * step overflows, so every difference quotient is NaN
-        with np.errstate(all="ignore"):
-            assert main(["gradcheck", "--trials", "1", "--step", "1e308"]) == 1
-        assert capsys.readouterr().out.strip().endswith("FAIL")
+        # finite, but 2 * step overflows, so every difference quotient is
+        # NaN; the overflow is the FAIL, not a numpy warning
+        assert main(["gradcheck", "--trials", "1", "--step", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.strip().endswith("FAIL")
+        assert captured.err == ""
 
 
 class TestParser:

@@ -15,10 +15,8 @@ from visemekit import (
     coarticulation_weights,
     grad_loss_pc,
     grad_loss_rec,
-    grad_loss_vel,
     loss_pc,
     loss_rec,
-    loss_vel,
     relative_gradient_error,
 )
 
@@ -212,7 +210,6 @@ class TestLosses:
         s = rand_seq(rng, 4, 2)
         report = loss_rec(s, s)
         assert report.total == 0.0
-        assert report.kind is LossKind.REC
         assert len(report.per_frame) == 4
 
     def test_rec_single_frame(self):
@@ -228,27 +225,8 @@ class TestLosses:
         assert report.total == pytest.approx(expected, rel=1e-12)
         assert report.per_frame == pytest.approx(per_frame, rel=1e-12)
 
-    def test_vel_identity_and_offset_invariance(self):
-        rng = np.random.default_rng(2)
-        gt = rand_seq(rng, 6, 3)
-        assert loss_vel(gt, gt).total == 0.0
-        # a constant offset has zero velocity difference
-        assert loss_vel(gt, MeshSequence(gt.frames + [0.7, 0, 0], gt.fps)).total == pytest.approx(0.0, abs=1e-18)
-
-    def test_vel_matches_oracle(self):
-        rng = np.random.default_rng(3)
-        gt, pred = rand_seq(rng, 7, 4), rand_seq(rng, 7, 4)
-        expected, per_frame = oracles.loss_vel(gt.frames.tolist(), pred.frames.tolist())
-        report = loss_vel(gt, pred)
-        assert report.kind is LossKind.VEL
-        assert len(report.per_frame) == 6
-        assert report.total == pytest.approx(expected, rel=1e-12)
-        assert report.per_frame == pytest.approx(per_frame, rel=1e-12)
-
-    def test_vel_needs_two_frames(self):
-        s = seq(np.zeros((1, 1, 3)))
-        with pytest.raises(ConstraintError):
-            loss_vel(s, s)
+    def test_loss_kinds_are_the_trainers_choice(self):
+        assert set(LossKind) == {LossKind.REC, LossKind.PC}
 
     def test_pc_micro_example_unit_offset(self):
         gt = seq(MICRO_FRAMES)
@@ -308,7 +286,6 @@ class TestGradients:
         gt = rand_seq(rng, 5, 2)
         w = coarticulation_weights(gt)
         assert np.all(grad_loss_rec(gt, gt) == 0)
-        assert np.all(grad_loss_vel(gt, gt) == 0)
         assert np.all(grad_loss_pc(gt, gt, w) == 0)
 
     def test_pc_single_frame_hand_value(self):
@@ -317,14 +294,6 @@ class TestGradients:
         w = CoarticulationWeights(np.array([1.0]), np.array([0.0]))
         grad = grad_loss_pc(gt, pred, w)
         assert np.array_equal(grad[0, 0], [2.0, 0.0, 0.0])
-
-    def test_vel_two_frame_hand_value(self):
-        gt = seq([[[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]])
-        pred = seq([[[0.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]]])
-        grad = grad_loss_vel(gt, pred)
-        # d = (pred step) - (gt step) = -0.5; grad[1] = 2d, grad[0] = -2d
-        assert grad[1, 0] == pytest.approx([-1.0, 0.0, 0.0])
-        assert grad[0, 0] == pytest.approx([1.0, 0.0, 0.0])
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -337,7 +306,6 @@ class TestGradients:
         w = coarticulation_weights(gt, int(rng.integers(0, 4)))
         cases = [
             (grad_loss_rec(gt, pred), lambda frames: loss_rec(gt, seq(frames)).total),
-            (grad_loss_vel(gt, pred), lambda frames: loss_vel(gt, seq(frames)).total),
             (grad_loss_pc(gt, pred, w), lambda frames: loss_pc(gt, seq(frames), w).total),
         ]
         for analytic, f in cases:
