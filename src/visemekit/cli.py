@@ -29,7 +29,7 @@ from .coarticulation import (
     relative_gradient_error,
 )
 from .errors import ConstraintError, FormatError, require_integer
-from .mesh import MeshSequence, VertexRegionMask
+from .mesh import MeshSequence, VertexRegionMask, _squared_distances
 
 __all__ = ["main"]
 
@@ -94,7 +94,7 @@ def cmd_metrics(args) -> int:
 def cmd_gen(args) -> int:
     require_integer(args.count, "--count", 1)
     spec = io.parse_synth_spec(io.read_text(args.spec))
-    specs = [replace(spec, seed=spec.seed + i) for i in range(args.count)]
+    specs = (replace(spec, seed=spec.seed + i) for i in range(args.count))
     records = io.make_corpus(specs, args.out)
     for record in records:
         print(f"wrote {record.sequence_path} (seed {record.seed})")
@@ -144,10 +144,8 @@ def cmd_train(args) -> int:
 def _velocity_error(gt: MeshSequence, pred: MeshSequence) -> float:
     """Squared mismatch of the frame-to-frame steps of pred against gt's,
     summed: how much the prediction jitters. A score, not a training loss."""
-    a, b = gt.frames, pred.frames
-    dv = (a[1:] - a[:-1]) - (b[1:] - b[:-1])
-    # summed per step, then over the steps, so report.csv keeps its bytes
-    return float(np.sum(dv * dv, axis=(1, 2)).sum())
+    steps = [np.diff(seq.frames, axis=0) for seq in (gt, pred)]
+    return float(_squared_distances(*steps).sum())
 
 
 def cmd_ablate(args) -> int:
@@ -315,10 +313,7 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -21,7 +21,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError, require_integer
-from .mesh import MeshSequence, _row_blocks, frame_difference_norms, require_same_shape
+from .mesh import (
+    MeshSequence,
+    _row_blocks,
+    _squared_distances,
+    frame_difference_norms,
+    require_same_shape,
+)
 
 __all__ = [
     "CoarticulationWeights",
@@ -119,15 +125,10 @@ def coarticulation_weights(gt: MeshSequence, sigma: int = 2) -> CoarticulationWe
 # -- losses ------------------------------------------------------------------
 
 
-def _per_frame_sq_error(gt: MeshSequence, pred: MeshSequence) -> np.ndarray:
-    a, b = require_same_shape(gt, pred)
-    delta = a - b
-    return np.sum(delta * delta, axis=(1, 2))
-
-
 def loss_rec(gt: MeshSequence, pred: MeshSequence) -> LossReport:
-    """Plain reconstruction loss: per-frame squared vertex error, summed."""
-    per_frame = _per_frame_sq_error(gt, pred)
+    """Plain reconstruction loss: per-frame squared vertex error, summed, from
+    mesh._squared_distances in row blocks (no (T, V, 3) temporary)."""
+    per_frame = _squared_distances(*require_same_shape(gt, pred))
     return LossReport(float(per_frame.sum()), per_frame)
 
 
@@ -142,10 +143,10 @@ def _check_weights(weights: CoarticulationWeights, num_frames: int) -> None:
 def loss_pc(gt: MeshSequence, pred: MeshSequence, weights: CoarticulationWeights) -> LossReport:
     """Coarticulation-weighted reconstruction loss.
 
-    Each frame's squared vertex error is scaled by its viseme coarticulation
-    weight, one per frame of `gt` (the coarticulation weights of `gt`).
+    Each frame's squared vertex error (loss_rec's blocked kernel) is scaled
+    by its viseme coarticulation weight, one per frame: the weights of `gt`.
     """
-    errors = _per_frame_sq_error(gt, pred)
+    errors = _squared_distances(*require_same_shape(gt, pred))
     _check_weights(weights, len(errors))
     per_frame = weights.weights * errors
     return LossReport(float(per_frame.sum()), per_frame)

@@ -21,6 +21,7 @@ import hashlib
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
@@ -429,14 +430,15 @@ def spec_hash(spec: SynthSpec) -> str:
     return hashlib.sha256(format_synth_spec(spec).encode("utf-8")).hexdigest()
 
 
-def make_corpus(specs: list[SynthSpec], out_dir) -> list[CorpusRecord]:
+def make_corpus(specs: Iterable[SynthSpec], out_dir) -> list[CorpusRecord]:
     """Generate every spec into `out_dir` and write a manifest.
 
     Emits trackNNN.msq + trackNNN.ann.csv per spec and manifest.txt with one
     tab-separated record per sequence: sequence path, annotation path, seed,
     spec hash. Regenerating from the same specs reproduces identical bytes.
-    A SynthSpec is checked when it is built, so a rejected spec fails
-    before this is called and leaves no directory or track behind.
+    Specs are taken one at a time, so a generator of them is never held
+    whole. A SynthSpec is checked when it is built: a rejected one in a list
+    fails before this is called, leaving no directory or track behind.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -123,28 +123,30 @@ def _row_blocks(start: int, stop: int, row_elements: int) -> Iterator[slice]:
         yield slice(first, min(first + rows, stop))
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry t is sum_i sum_c (a[t, i, c] - b[t, i, c])**2 for two (T, V, 3)
+    arrays of one shape, T >= 1. _row_blocks slices are subtracted, squared
+    and summed in one scratch block, and on C-contiguous inputs each row is
+    reduced exactly as by one whole-track `np.sum(d * d, axis=(1, 2))`."""
+    out = np.empty(len(a))
+    blocks = list(_row_blocks(0, len(a), a[0].size))
+    scratch = np.empty((blocks[0].stop,) + a.shape[1:])
+    for rows in blocks:
+        block = scratch[: rows.stop - rows.start]
+        np.subtract(a[rows], b[rows], out=block)
+        np.multiply(block, block, out=block)
+        block.sum(axis=(1, 2), out=out[rows])
+    return out
+
+
 def frame_difference_norms(seq: MeshSequence) -> np.ndarray:
     """Squared frame-to-frame displacement, summed over all vertices and coords.
 
     Entry j is sum_i sum_c (frames[j+1, i, c] - frames[j, i, c])**2, so the
-    output has length T - 1. Requires T >= 2.
-
-    The differences are formed, squared and summed in _row_blocks, so no
-    (T - 1, V, 3) temporary is allocated. On C-contiguous frames (what
-    read_msq returns) each row is reduced exactly as in one whole-track
-    `np.sum(deltas * deltas, axis=(1, 2))`.
+    output has length T - 1. Requires T >= 2. One blocked kernel,
+    _squared_distances, serves this, both losses and the CLI's `final_vel`.
     """
     frames = seq.frames
     if len(frames) < 2:
-        raise ConstraintError(
-            f"need at least 2 frames to form differences, got {len(frames)}"
-        )
-    out = np.empty(len(frames) - 1)
-    blocks = list(_row_blocks(0, len(out), frames[0].size))
-    scratch = np.empty((blocks[0].stop,) + frames.shape[1:])
-    for rows in blocks:
-        block = scratch[: rows.stop - rows.start]
-        np.subtract(frames[rows.start + 1 : rows.stop + 1], frames[rows], out=block)
-        np.multiply(block, block, out=block)
-        block.sum(axis=(1, 2), out=out[rows])
-    return out
+        raise ConstraintError(f"need at least 2 frames to form differences, got {len(frames)}")
+    return _squared_distances(frames[1:], frames[:-1])

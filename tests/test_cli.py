@@ -394,6 +394,44 @@ class TestGen:
         assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_count_streams_its_specs(self, tmp_path, capsys, monkeypatch):
+        # track i renders before track i + 1's spec is built, so a large
+        # --count cannot exhaust memory before the first track is written
+        built, seen = [], []
+
+        def counted(spec, **changes):
+            built.append(changes)
+            return replace(spec, **changes)
+
+        def render(spec, _real=gen_viseme_track):
+            seen.append(len(built))
+            return _real(spec)
+
+        monkeypatch.setattr(cli, "replace", counted)
+        monkeypatch.setattr("visemekit.io.gen_viseme_track", render)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT)
+        assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "o"), "--count", "3"]) == 0
+        assert seen == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "shape, target, code, message",
+        [
+            ("shape. = 1 2 3", "0.5", 2, "error: line 3: bad shape name ''\n"),
+            ("shape.a = 1 x 3", "0.5", 2,
+             "error: line 3: shape 'a' has a non-numeric coordinate\n"),
+            ("shape.a = nan 2 3", "0.5", 1, "error: shape 'a' contains non-finite coordinates\n"),
+            ("shape.a = 1 2 3", "-0.5", 1, "error: target times must be nonnegative\n"),
+        ],
+    )
+    def test_bad_shape_or_target_line(self, tmp_path, capsys, shape, target, code, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"num_vertices = 1\nfps = 10\n{shape}\ntarget = {target} a\n")
+        out = tmp_path / "o"
+        assert main(["gen", "--spec", str(spec), "--out", str(out)]) == code
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_count_below_one(self, tmp_path, capsys, count):
         spec = tmp_path / "spec.txt"
@@ -512,6 +550,15 @@ class TestTrain:
         assert main(argv) == 0
         keys = [row.split(",")[0] for row in (out / "report.csv").read_text().splitlines()[1:]]
         assert keys[-2:] == ["lve_transition", "lve_hold"]
+
+    def test_annotation_row_with_two_columns(self, tmp_path, capsys):
+        gt = msq(tmp_path, "gt.msq", np.zeros((3, 1, 3)))
+        annot = tmp_path / "gt.ann.csv"
+        annot.write_text("frame,label,high_motion\n1,a,0\n2,a,0\n3,a\n")
+        out = tmp_path / "run"
+        assert main(["train", "--gt", gt, "--out", str(out), "--annot", str(annot)]) == 2
+        assert capsys.readouterr().err == f"error: {annot}:4: expected 3 columns, got 2\n"
+        assert not out.exists()
 
     def test_annotation_length_mismatch_writes_nothing(self, tmp_path, capsys):
         gt = msq(tmp_path, "gt.msq", np.zeros((5, 1, 3)))
@@ -650,6 +697,22 @@ class TestAblate:
         cfg.write_text("seed = -1\nsteps = 5\nnum_basis = 2\n")
         assert main(["ablate", "--gt", gt, "--sigmas", "1", "--config", str(cfg)]) == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_empty_sigma_list(self, tmp_path, capsys):
+        gt = msq(tmp_path, "gt.msq", np.zeros((6, 1, 3)))
+        assert main(["ablate", "--gt", gt, "--sigmas", ","]) == 1
+        assert capsys.readouterr().err == "error: sigma list is empty\n"
+
+    def test_best_window_of_five(self, tmp_path, capsys):
+        gt = msq(tmp_path, "gt.msq", np.random.default_rng(9).normal(0.0, 1.0, (12, 2, 3)))
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 3\nnum_basis = 3\n")
+        assert main(["ablate", "--gt", gt, "--sigmas", "2", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "best sigma = 2 (lowest lip error among weighted runs)",
+            "window size 5 gave the lowest lip error",
+        ]
 
 
 class TestAnnotationCoverage:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +280,31 @@ class TestLosses:
     def test_shape_mismatch(self):
         with pytest.raises(ConstraintError):
             loss_rec(seq(np.zeros((2, 1, 3))), seq(np.zeros((2, 2, 3))))
+
+    @pytest.mark.parametrize("num_frames", [1, 46, 47, 3000])
+    def test_rec_rows_reduce_as_in_one_pass(self, num_frames):
+        rng = np.random.default_rng(num_frames)
+        gt, pred = rand_seq(rng, num_frames, 60), rand_seq(rng, num_frames, 60)
+        delta = gt.frames - pred.frames
+        whole = np.sum(delta * delta, axis=(1, 2))
+        assert np.array_equal(loss_rec(gt, pred).per_frame, whole)
+
+    @pytest.mark.parametrize("kind", ["rec", "pc"])
+    def test_peak_memory_is_a_block(self, kind):
+        # the errors are formed in row blocks, as frame_difference_norms' are
+        rng = np.random.default_rng(11)
+        gt, pred = rand_seq(rng, 3000, 60), rand_seq(rng, 3000, 60)
+        weights = coarticulation_weights(gt)
+        tracemalloc.start()
+        try:
+            if kind == "pc":
+                loss_pc(gt, pred, weights)
+            else:
+                loss_rec(gt, pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
 
 class TestGradients:

@@ -132,6 +132,15 @@ def test_one_block_budget():
     assert found == ["mesh._BLOCK_ELEMENTS"]
 
 
+def test_one_squared_distance_kernel():
+    """The per-frame squared distance of two tracks (motion energy, both
+    losses, the CLI's jitter score) has one implementation,
+    mesh._squared_distances: no other module reduces over the vertex and
+    coordinate axes."""
+    found = sorted(path.name for path in PACKAGE.glob("*.py") if "axis=(1, 2)" in path.read_text())
+    assert found == ["mesh.py"]
+
+
 def test_package_republishes_each_module_list():
     """Every module but the command and the package itself lists its public
     names; the package's list is theirs in module order, each name once, and
