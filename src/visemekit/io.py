@@ -32,7 +32,7 @@ from . import metrics
 from .coarticulation import CoarticulationWeights, LossKind, LossReport
 from .errors import ConstraintError, FormatError, require_float32
 from .mesh import MeshSequence, VertexRegionMask
-from .synth import SegmentAnnotation, SynthSpec, gen_viseme_track
+from .synth import SegmentAnnotation, SynthSpec, _is_shape_id, gen_viseme_track
 from .toytrain import AblationResult, TrainConfig
 
 __all__ = [
@@ -344,7 +344,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
     for lineno, key, value in _kv_lines(text):
         if key.startswith("shape."):
             name = key[len("shape.") :]
-            if not name or " " in name:
+            if not _is_shape_id(name):
                 raise FormatError(f"line {lineno}: bad shape name {name!r}")
             if name in shapes:
                 raise FormatError(f"line {lineno}: duplicate shape {name!r}")

@@ -55,44 +55,6 @@ class DtwResult:
 
 # -- dynamic time warping -----------------------------------------------------
 
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... in the order np.add.reduce sums a contiguous axis.
-
-    numpy adds fewer than 8 terms in sequence; up to 128 in eight running
-    sums (term k goes to sum k % 8), combined as ((0+1)+(2+3))+((4+5)+(6+7))
-    before the last n % 8 terms are added in sequence; and more as the sum of
-    two halves split at a multiple of 8. numpy then adds that sum to 0.0,
-    which changes no sum of the non-negative distances summed here. The
-    running sums are kept in `terms`, which is overwritten.
-    """
-    n = len(terms)
-    if n < 8:
-        total = terms[0]
-        for term in terms[1:]:
-            total += term
-        return total
-    if n <= 128:
-        sums = terms[:8]
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            sums += terms[i : i + 8]
-        total, s1, s2, s3, s4, s5, s6, s7 = sums
-        total += s1
-        s2 += s3
-        s4 += s5
-        s6 += s7
-        total += s2
-        s4 += s6
-        total += s4
-        for term in terms[stop:]:
-            total += term
-        return total
-    half = n // 2 - n // 2 % 8
-    total = _pairwise_sum(terms[:half])
-    total += _pairwise_sum(terms[half:])
-    return total
-
-
 def _mean_vertex_distance(rows: np.ndarray, b_planes: np.ndarray) -> np.ndarray:
     """Mean per-vertex Euclidean distance of k (L, 3) frames of `a` to all of b's.
 
@@ -101,15 +63,17 @@ def _mean_vertex_distance(rows: np.ndarray, b_planes: np.ndarray) -> np.ndarray:
     way, so the differences broadcast along all of b's frames. (Laying out
     all of `a` once is no faster and holds another copy of it.) The squared
     components are summed as (x + y) + z, the order numpy's norm over an axis
-    of length 3 uses, and the L distances by _pairwise_sum, so each entry of
-    the (k, m) result equals np.linalg.norm(x - y, axis=1).mean() bit for bit.
+    of length 3 uses, and the L distances are added in place in lip order.
     """
     a_planes = np.ascontiguousarray(rows.transpose(2, 1, 0))
     delta = a_planes[:, :, :, None] - b_planes[:, :, None, :]
     delta *= delta
     sq = np.add(delta[0], delta[1], out=delta[0])
     sq += delta[2]
-    mean = _pairwise_sum(np.sqrt(sq, out=sq))
+    np.sqrt(sq, out=sq)
+    mean = sq[0]
+    for plane in sq[1:]:
+        mean += plane
     mean /= rows.shape[1]
     return mean
 
@@ -119,7 +83,7 @@ def dtw(a: np.ndarray, b: np.ndarray) -> DtwResult:
 
     `a` and `b` are (T, L, 3) frame arrays with the same L, converted to
     C-contiguous float64 whatever the caller's layout. The local cost of two
-    frames is their mean per-vertex Euclidean distance (_mean_vertex_distance).
+    frames is their mean per-vertex Euclidean distance, summed in lip order.
     Fills the classic accumulated-cost table
         D[i, j] = cost[i, j] + min(D[i-1, j-1], D[i-1, j], D[i, j-1])
     and backtracks the optimal path with a fixed tie-break: diagonal first,

@@ -37,6 +37,11 @@ def _is_utf8_text(value) -> bool:
     return isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value)
 
 
+def _is_shape_id(name) -> bool:
+    """Whether `name` is one field to a target line's whitespace split and a shape line's '='."""
+    return _is_utf8_text(name) and name.split() == [name] and "=" not in name
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of one synthetic track.
@@ -97,9 +102,7 @@ class SynthSpec:
             if shape_id not in self.shape_bank:
                 raise ConstraintError(f"shape id {shape_id!r} not found in shape bank")
         for name, shape in self.shape_bank.items():
-            # a target line splits on whitespace and a shape line at its first
-            # '=', so an id is one field that holds neither
-            if not (_is_utf8_text(name) and name.split() == [name] and "=" not in name):
+            if not _is_shape_id(name):
                 raise ConstraintError(
                     f"shape id {name!r} must be non-empty UTF-8 text without whitespace or '='"
                 )

@@ -418,6 +418,8 @@ class TestGen:
         "shape, target, code, message",
         [
             ("shape. = 1 2 3", "0.5", 2, "error: line 3: bad shape name ''\n"),
+            ("shape.a = 1 2 3\nshape.b\tc = 1 2 3", "0.5", 2,
+             "error: line 4: bad shape name 'b\\tc'\n"),
             ("shape.a = 1 x 3", "0.5", 2,
              "error: line 3: shape 'a' has a non-numeric coordinate\n"),
             ("shape.a = nan 2 3", "0.5", 1, "error: shape 'a' contains non-finite coordinates\n"),

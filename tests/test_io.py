@@ -841,9 +841,9 @@ class TestTextRoundTrips:
                       shape_bank={"b": np.zeros((1, 3))}, label=label)
 
     def test_shape_name_with_a_tab_is_rejected(self):
-        # the parser takes the name, but no target line could name it
+        # no target line could name it, so the parser rejects it as a format error
         text = "num_vertices = 1\nfps = 10\nshape.a\tb = 0 0 0\nshape.c = 0 0 0\ntarget = 0 c\n"
-        with pytest.raises(ConstraintError, match="without whitespace"):
+        with pytest.raises(FormatError, match=r"^line 3: bad shape name 'a\\tb'$"):
             parse_synth_spec(text)
 
     def test_integral_float_counts(self):

@@ -97,7 +97,11 @@ def x_frames(values):
 
 
 def mean_vertex_norm(x, y):
-    return float(np.linalg.norm(x - y, axis=1).mean())
+    """LDTW's local cost: the vertex distances added left to right, over their count."""
+    total = 0.0
+    for distance in np.linalg.norm(x - y, axis=1).tolist():
+        total += distance
+    return total / len(x)
 
 
 class TestDtw:
@@ -265,15 +269,21 @@ class TestDtwKernel:
 
     def test_cost_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(22)
-        a = rng.normal(0.0, 1.0, (17, 3, 3))
-        b = rng.normal(0.0, 1.0, (13, 3, 3))
-        lips = VertexRegionMask(np.array([0, 2]))
-        whole = (dtw(a, b), dtw(a[:, :1], b[:, :1]), ldtw(seq(a), seq(b), lips))
+        cases = []
+        for num_vertices, lips in ((3, [0, 2]), (129, range(129))):
+            a = rng.normal(0.0, 1.0, (17, num_vertices, 3))
+            b = rng.normal(0.0, 1.0, (13, num_vertices, 3))
+            cases.append((a, b, VertexRegionMask(np.array(lips))))
+
+        def results():
+            return [(dtw(a, b), dtw(a[:, :1], b[:, :1]), ldtw(seq(a), seq(b), lips))
+                    for a, b, lips in cases]
+
+        whole = results()
         # a tiny budget forces several blocks, down to one row per block
-        for budget in (5, 50, 200):
+        for budget in (5, 50, 200, 20000):
             monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", budget)
-            blocked = (dtw(a, b), dtw(a[:, :1], b[:, :1]), ldtw(seq(a), seq(b), lips))
-            assert blocked == whole
+            assert results() == whole
 
     def test_block_cost_contract(self):
         # the local cost of x_frames is the distance of their x values
@@ -281,19 +291,22 @@ class TestDtwKernel:
         assert result.distance == 1.0
         assert result.path == ((0, 0), (1, 1), (2, 2), (3, 2))
 
-    @pytest.mark.parametrize("num_lips", [1, 7, 8, 9, 15, 16, 17, 24, 128, 129, 136, 257])
+    @pytest.mark.parametrize("num_lips", [1, 7, 8, 9, 15, 16, 17, 20, 24, 128, 129, 136, 257])
     def test_ldtw_equals_loop_oracle_at_every_pairwise_sum_branch(self, num_lips):
-        # below 8 lips the distances are summed in sequence, up to 128 in
-        # eight running sums, and above in halves split at a multiple of 8
+        # the lip counts are where numpy's pairwise sum of a contiguous axis
+        # changes branch: in sequence below 8 terms, eight running sums up to
+        # 128, halves above. From 8 lips on its order differs from the lip
+        # order of LDTW's local cost, so np.mean would not match it here
         rng = np.random.default_rng(num_lips)
         gt, pred = rand_seq(rng, 6, num_lips), rand_seq(rng, 5, num_lips)
         a, b = gt.frames, pred.frames
         distance, path = oracles.dtw_loop(a, b, mean_vertex_norm)
         assert ldtw(gt, pred, VertexRegionMask.full(num_lips)) == distance / len(path)
-        # every local cost, not only those on the path
+        # every local cost, not only those on the path, and a lone cell's
         want = [[mean_vertex_norm(x, y) for y in b] for x in a]
         b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))
         assert metrics._mean_vertex_distance(a, b_planes).tolist() == want
+        assert dtw(a[:1], b[:1]).distance == want[0][0]
 
     def test_ldtw_equals_loop_oracle_at_benchmark_shape(self):
         # 120 x 120 frames, 20 scattered lips of 60 vertices, ground truth
