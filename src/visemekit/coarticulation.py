@@ -18,12 +18,10 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError, require_integer
 from .mesh import (
     MeshSequence,
-    _row_blocks,
     _squared_distances,
     frame_difference_norms,
     require_same_shape,
@@ -76,24 +74,19 @@ def _window_energies(diffs: np.ndarray, sigma: int) -> np.ndarray:
     Difference j covers the step from frame j to j+1. Frame f's window spans
     differences f-sigma-1 .. f+sigma-1 with both ends clamped into the
     feasible range [0, T-2], so it is never empty; an interior frame's window
-    is never clamped. Each energy is the exact sum of its slice divided by
-    the slice length; running-sum differences would lose precision to
-    cancellation on long tracks.
+    is never clamped. Each energy adds its window's differences in frame
+    order, left to right (no running-sum differences, which cancel on long
+    tracks), and divides by the window's length; past a window's end pass k
+    adds 0.0, which leaves a sum of norms >= +0 unchanged.
     """
     sigma = min(sigma, len(diffs))  # any radius >= T-1 spans all T-1 differences
     last = len(diffs) - 1
     frames = np.arange(last + 2)
     lo = np.clip(frames - sigma - 1, 0, last)
     count = np.clip(frames + sigma - 1, 0, last) - lo + 1
-    width = min(2 * sigma + 1, len(diffs))  # no clamped window is longer
-    view = sliding_window_view(np.concatenate([diffs, np.zeros(width - 1)]), width)
-    sums = np.empty(len(frames))
-    # Gather in row blocks so a radius near T cannot allocate a (T, T) array;
-    # at the usual radii and lengths the whole track is one block.
-    for rows in _row_blocks(0, len(frames), width):
-        block = view[lo[rows]]
-        block[np.arange(width) >= count[rows, None]] = 0.0
-        sums[rows] = block.sum(axis=1)
+    sums = diffs[lo]
+    for k in range(1, int(count.max())):  # min(2*sigma + 1, T-1) differences at most
+        sums += np.where(k < count, diffs[np.minimum(lo + k, last)], 0.0)
     return sums / count
 
 

@@ -108,9 +108,9 @@ def require_same_shape(gt: MeshSequence, pred: MeshSequence) -> tuple[np.ndarray
     return a, b
 
 
-# Every row-blocked loop (frame differences, windowed energy, the DTW
-# local-cost table, the closed-form loss curve) sizes its blocks from this one
-# budget. Each row's result is independent of the block size.
+# Every row-blocked loop (frame differences, the DTW local-cost table, the
+# closed-form loss curve) sizes its blocks from this one budget. Each row's
+# result is independent of the block size.
 _BLOCK_ELEMENTS = 1 << 15  # 256 KB of float64 per block
 
 

@@ -181,11 +181,11 @@ def fit(gt: MeshSequence, cfg: TrainConfig) -> TrainReport:
     # a singular value of exactly 0 (PC weights that underflowed) gets no shift
     shift = np.divide(reach, singular[:, None], out=np.zeros_like(reach),
                       where=singular[:, None] != 0)
-    # np.sum, not the BLAS dot, so the curve's bits do not depend on the
-    # BLAS thread count
-    curve = np.full(cfg.steps, float(np.sum(outside * outside)))
-    curve[:1] = np.sum(gap * gap)  # f(0) is evaluated, as objective_and_gradient does
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # np.sum, not the BLAS dot, so the curve's bits do not depend on the
+        # BLAS thread count
+        curve = np.full(cfg.steps, float(np.sum(outside * outside)))
+        curve[:1] = np.sum(gap * gap)  # f(0) is evaluated, as objective_and_gradient does
         rate = cfg.learning_rate * singular * singular  # a mode is stable iff 0 < rate < 1
         log_rho2 = np.log1p(-4.0 * rate * (1.0 - rate))  # keeps its digits as s -> 0
         log_reach2 = np.log(np.sum(reach * reach, axis=1))  # log |r_k|^2

@@ -42,12 +42,20 @@ def step_sq_norms(frames):
 def window_energy_clamp(frames, t1, sigma):
     """Mean step norm over the window around 1-based frame t1, endpoints
     clamped into the feasible step range k in [2, T]."""
-    num_frames = len(frames)
-    steps = step_sq_norms(frames)
+    return window_energy_loop(step_sq_norms(frames), t1, sigma)
+
+
+def window_energy_loop(steps, t1, sigma):
+    """window_energy_clamp from the step norms (entry k-2 is step k), added
+    left to right in one plain loop: Python's sum() of floats compensates
+    from 3.12 on, so it is no left-to-right reference."""
+    num_frames = len(steps) + 1
     lo = min(max(t1 - sigma, 2), num_frames)
     hi = min(max(t1 + sigma, 2), num_frames)
-    ks = list(range(lo, hi + 1))
-    return sum(steps[k - 2] for k in ks) / len(ks)
+    total = 0.0
+    for k in range(lo, hi + 1):
+        total += steps[k - 2]
+    return total / (hi - lo + 1)
 
 
 def window_energy_strict(frames, t1, sigma):

@@ -659,6 +659,21 @@ class TestTrain:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_overflowing_starting_objective(self, tmp_path, capsys, command):
+        # coordinates near 1e160 with small steps: the weights are finite,
+        # but the starting gap's squares overflow, so f(0) is the divergence,
+        # reported by the error line alone, with no numpy warning
+        rng = np.random.default_rng(7)
+        gt = msq(tmp_path, "gt.msq", 1e160 + rng.normal(0.0, 1e150, (40, 2, 3)))
+        out = tmp_path / "run"
+        assert main([command, "--gt", gt, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: loss became non-finite at step 0 (")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAblate:
     def test_table_and_best_sigma(self, tmp_path, capsys):

@@ -155,8 +155,9 @@ class TestCoarticulationWeights:
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_raw_energy_matches_oracles_both_policies(self):
-        # T up to 40 and sigma up to 8 reach partial boundary windows of width
-        # >= 9, where numpy's summation order differs from a plain loop
+        # T up to 40 and sigma up to 8 reach every clamped window length at
+        # both ends; the oracles square the steps in their own loop, so the
+        # energies agree to rounding
         rng = np.random.default_rng(13)
         for num_frames in range(2, 41):
             frames = rng.normal(0.0, 1.0, (num_frames, 2, 3))
@@ -176,15 +177,19 @@ class TestCoarticulationWeights:
                 ]
                 assert clamp[interior] == pytest.approx(expected, rel=1e-12)
 
-    def test_gather_in_blocks_matches_one_block(self, monkeypatch):
+    def test_raw_energy_adds_each_window_in_frame_order(self):
+        # bit for bit the plain left-to-right loop over each clamped window,
+        # from the package's own step norms, up to windows of all T-1 steps
         rng = np.random.default_rng(14)
-        frames = rng.normal(0.0, 1.0, (23, 2, 3))
-        whole = [coarticulation_weights(seq(frames), s).raw_energy for s in range(9)]
-        # a tiny block budget forces several blocks, some holding one row
-        monkeypatch.setattr(mesh, "_BLOCK_ELEMENTS", 20)
-        for sigma in range(9):
-            blocked = coarticulation_weights(seq(frames), sigma).raw_energy
-            assert np.array_equal(blocked, whole[sigma])
+        for num_frames in range(2, 41):
+            s = seq(rng.normal(0.0, 1.0, (num_frames, 2, 3)))
+            steps = mesh.frame_difference_norms(s).tolist()
+            for sigma in [*range(9), num_frames - 1, num_frames, 10**400]:
+                expected = [
+                    oracles.window_energy_loop(steps, t1, sigma)
+                    for t1 in range(1, num_frames + 1)
+                ]
+                assert energies(s, sigma).tolist() == expected
 
     def test_coordinate_scale_sharpens(self):
         # scaling the coordinates by c scales each energy by c^2: the softmax

@@ -292,11 +292,12 @@ class TestDtwKernel:
         assert result.path == ((0, 0), (1, 1), (2, 2), (3, 2))
 
     @pytest.mark.parametrize("num_lips", [1, 7, 8, 9, 15, 16, 17, 20, 24, 128, 129, 136, 257])
-    def test_ldtw_equals_loop_oracle_at_every_pairwise_sum_branch(self, num_lips):
-        # the lip counts are where numpy's pairwise sum of a contiguous axis
-        # changes branch: in sequence below 8 terms, eight running sums up to
-        # 128, halves above. From 8 lips on its order differs from the lip
-        # order of LDTW's local cost, so np.mean would not match it here
+    def test_local_costs_add_in_lip_order_at_many_lip_counts(self, num_lips):
+        # the lip counts sit on both sides of where numpy's pairwise sum of a
+        # contiguous axis changes branch: in sequence below 8 terms, eight
+        # running sums up to 128, halves above. At 1 and 7 lips it adds in
+        # lip order too; from 8 lips on its order differs, so np.mean would
+        # not match LDTW's local cost there
         rng = np.random.default_rng(num_lips)
         gt, pred = rand_seq(rng, 6, num_lips), rand_seq(rng, 5, num_lips)
         a, b = gt.frames, pred.frames
