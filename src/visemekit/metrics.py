@@ -53,29 +53,32 @@ class DtwResult:
         return len(self.path)
 
 
-# -- dynamic time warping -----------------------------------------------------
+# -- per-vertex distances and dynamic time warping -----------------------------
 
-def _mean_vertex_distance(rows: np.ndarray, b_planes: np.ndarray) -> np.ndarray:
-    """Mean per-vertex Euclidean distance of k (L, 3) frames of `a` to all of b's.
-
-    `rows` is the (k, L, 3) block of `a`, and `b_planes` is b laid out as
-    contiguous coordinate planes (3, L, m). The block is laid out the same
-    way, so the differences broadcast along all of b's frames. (Laying out
-    all of `a` once is no faster and holds another copy of it.) The squared
-    components are summed as (x + y) + z, the order numpy's norm over an axis
-    of length 3 uses, and the L distances are added in place in lip order.
-    """
-    a_planes = np.ascontiguousarray(rows.transpose(2, 1, 0))
-    delta = a_planes[:, :, :, None] - b_planes[:, :, None, :]
+def _distances(a_planes: np.ndarray, b_planes: np.ndarray) -> np.ndarray:
+    """Per-vertex Euclidean distances of broadcastable (3, V, ...) coordinate
+    planes, shape (V, ...). The differences fill one block of the broadcast
+    shape, and the squares are added as (x + y) + z and rooted in place in it."""
+    delta = a_planes - b_planes
     delta *= delta
-    sq = np.add(delta[0], delta[1], out=delta[0])
-    sq += delta[2]
-    np.sqrt(sq, out=sq)
-    mean = sq[0]
-    for plane in sq[1:]:
+    dist = np.add(delta[0], delta[1], out=delta[0])
+    dist += delta[2]
+    return np.sqrt(dist, out=dist)
+
+
+def _vertex_mean(dist: np.ndarray) -> np.ndarray:
+    """Mean of (V, ...) distances over V: the planes are added in place into
+    the first one, in vertex order, and divided by V."""
+    mean = dist[0]
+    for plane in dist[1:]:
         mean += plane
-    mean /= rows.shape[1]
+    mean /= len(dist)
     return mean
+
+
+def _frame_mean(values: np.ndarray) -> float:
+    """Mean of per-frame values, added in frame order as DTW adds its diagonal."""
+    return float(np.add.accumulate(values)[-1] / len(values))
 
 
 def dtw(a: np.ndarray, b: np.ndarray) -> DtwResult:
@@ -83,18 +86,16 @@ def dtw(a: np.ndarray, b: np.ndarray) -> DtwResult:
 
     `a` and `b` are (T, L, 3) frame arrays with the same L, converted to
     C-contiguous float64 whatever the caller's layout. The local cost of two
-    frames is their mean per-vertex Euclidean distance, summed in lip order.
-    Fills the classic accumulated-cost table
+    frames is the `_vertex_mean` of their `_distances`, the kernel that gives
+    `evaluate` its per-frame errors. Fills the classic accumulated-cost table
         D[i, j] = cost[i, j] + min(D[i-1, j-1], D[i-1, j], D[i, j-1])
     and backtracks the optimal path with a fixed tie-break: diagonal first,
     then vertical (advance a), then horizontal (advance b). No band
     constraint; the full table is always filled.
 
-    b's coordinate planes are laid out once, and the costs are computed on
-    row blocks of `a` of the shared budget, so the broadcast differences stay
-    small on long sequences. The blocks are written into one padded
-    (n+1, m+1) table, which is accumulated in place and backtracked: DTW
-    holds no second table.
+    The costs are computed from b's coordinate planes, laid out once, and
+    those of row blocks of `a` of the shared budget, into one padded
+    (n+1, m+1) table that is accumulated in place and backtracked.
     """
     try:
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -120,9 +121,10 @@ def dtw(a: np.ndarray, b: np.ndarray) -> DtwResult:
     width = m + 1
     table = np.full((n + 1, width), np.inf)
     table[0, 0] = 0.0
-    b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))
+    b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))[:, :, None, :]
     for rows in _row_blocks(0, n, m * b[0].size):
-        table[rows.start + 1 : rows.stop + 1, 1:] = _mean_vertex_distance(a[rows], b_planes)
+        a_planes = np.ascontiguousarray(a[rows].transpose(2, 1, 0))[..., None]
+        table[rows.start + 1 : rows.stop + 1, 1:] = _vertex_mean(_distances(a_planes, b_planes))
     flat = table.reshape(-1)
     buffer = np.empty(min(n, m))  # one anti-diagonal's predecessor minima
     for d in range(n + m - 1):
@@ -174,25 +176,33 @@ def ldtw(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> float:
     return result.distance / result.path_length
 
 
-def _vertex_errors(
-    gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """FVE, the per-frame LVE and the (T, L) lip-vertex errors of `pred`."""
+def _vertex_errors(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> np.ndarray:
+    """The (3, T) per-frame FVE, LVE and Lip-max of `pred`, from DTW's kernel
+    on row blocks of matched frames: each LVE is the cell on DTW's diagonal."""
     a, b = require_same_shape(gt, pred)
     lips.validate_for(a.shape[1])
-    errors = np.linalg.norm(a - b, axis=2)
-    lip_errors = errors[:, lips.indices]
-    return float(errors.mean(axis=1).mean()), lip_errors.mean(axis=1), lip_errors
+    out = np.empty((3, len(a)))
+    for rows in _row_blocks(0, len(a), a[0].size):
+        dist = _distances(a[rows].transpose(2, 1, 0), b[rows].transpose(2, 1, 0))
+        lip = dist[lips.indices]
+        lip.max(axis=0, out=out[2, rows])
+        out[1, rows] = _vertex_mean(lip)
+        out[0, rows] = _vertex_mean(dist)
+        del dist, lip  # free this block before the next one is made
+    return out
 
 
 def evaluate(gt: MeshSequence, pred: MeshSequence, lips: VertexRegionMask) -> MetricReport:
-    """Compute all four metrics in one pass."""
-    fve, per_frame_lve, lip_errors = _vertex_errors(gt, pred, lips)
+    """Compute all four metrics in one pass. FVE, LVE and Lip-max are frame
+    means of `_vertex_errors`, added in frame order as DTW adds its diagonal,
+    so LDTW <= LVE holds in floats on clips of equal length: D is at most the
+    diagonal path's cost, LVE's sum, and the path has at least T steps."""
+    fve, per_frame_lve, lip_max = _vertex_errors(gt, pred, lips)
     return MetricReport(
-        fve=fve,
-        lve=float(per_frame_lve.mean()),
+        fve=_frame_mean(fve),
+        lve=_frame_mean(per_frame_lve),
         ldtw=ldtw(gt, pred, lips),
-        lip_max=float(lip_errors.max(axis=1).mean()),
+        lip_max=_frame_mean(lip_max),
         per_frame_lve=per_frame_lve,
     )
 
@@ -209,10 +219,10 @@ def transition_split(
     """Mean LVE over the transition frames and over the hold frames.
 
     `transition` is an annotation's per-frame transition mask; a side with
-    no frames is None.
+    no frames is None. Frames add in frame order, as in `evaluate`.
     """
     _require_coverage(len(transition), len(per_frame_lve))
     return tuple(
-        float(per_frame_lve[side].mean()) if side.any() else None
+        _frame_mean(per_frame_lve[side]) if side.any() else None
         for side in (transition, ~transition)
     )

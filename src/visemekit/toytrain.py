@@ -259,7 +259,7 @@ def ablate_window(
         split = (None, None)
         if annotation is not None:
             split = metrics.transition_split(per_frame_lve, annotation.transition_mask())
-        return AblationRow(sigma, fve, float(per_frame_lve.mean()), *split)
+        return AblationRow(sigma, metrics._frame_mean(fve), metrics._frame_mean(per_frame_lve), *split)
 
     rows = [
         run(replace(cfg, loss_choice=LossKind.PC, sigma=int(s)), int(s)) for s in sigmas

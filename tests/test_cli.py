@@ -993,3 +993,46 @@ class TestPinnedOutputs:
             report = dict(line.split(",") for line in (tmp_path / name / "report.csv").read_text().splitlines())
             for key in ("fve", "lve", "ldtw", "lip_max"):
                 assert report[key] == "%.9g" % getattr(scores, key), (name, key)
+
+
+class TestSimdDispatch:
+    """numpy picks its exp and log kernels by the CPU's SIMD level, and their
+    last bits differ between levels, so pred.msq may too; it is not compared.
+    The text outputs print %.9g and keep their bytes when the AVX-512 kernels
+    are switched off (NPY_DISABLE_CPU_FEATURES acts on one process only)."""
+
+    def test_text_outputs_do_not_depend_on_avx512_kernels(self, tmp_path):
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        disabled = [  # the dispatch targets above X86_V3 that this CPU has
+            name for name in umath.__cpu_dispatch__
+            if (name == "X86_V4" or name.startswith("AVX512")) and umath.__cpu_features__.get(name)
+        ]
+        if not disabled:
+            pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+        track, annotation = gen_viseme_track(demo_spec(seed=3))
+        gt, annot, lips = tmp_path / "gt.msq", tmp_path / "gt.ann.csv", tmp_path / "lips.txt"
+        write_msq(track, gt)
+        write_annotation(annotation, annot)
+        lips.write_text("".join(f"{i}\n" for i in range(20)))
+        cfg = tmp_path / "pc3.cfg"
+        cfg.write_text("loss = pc\nsigma = 3\n" + TestPinnedOutputs.CONFIG)
+        texts = []
+        for features in (None, " ".join(disabled)):
+            env = dict(os.environ, PYTHONPATH=str(SRC))
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if features:
+                env["NPY_DISABLE_CPU_FEATURES"] = features
+            out = tmp_path / ("reduced" if features else "default")
+            commands = (
+                ["train", "--gt", gt, "--out", out, "--config", cfg, "--annot", annot, "--lips", lips],
+                ["metrics", "--gt", gt, "--pred", out / "pred.msq", "--lips", lips],
+            )
+            procs = [
+                subprocess.run([sys.executable, "-m", "visemekit.cli", *map(str, args)], env=env,
+                               capture_output=True, timeout=120)
+                for args in commands
+            ]
+            assert [proc.returncode for proc in procs] == [0, 0], [proc.stderr for proc in procs]
+            texts.append([(out / name).read_bytes() for name in ("report.csv", "loss_curve.csv")]
+                         + [procs[1].stdout])
+        assert texts[1] == texts[0]

@@ -305,8 +305,8 @@ class TestDtwKernel:
         assert ldtw(gt, pred, VertexRegionMask.full(num_lips)) == distance / len(path)
         # every local cost, not only those on the path, and a lone cell's
         want = [[mean_vertex_norm(x, y) for y in b] for x in a]
-        b_planes = np.ascontiguousarray(b.transpose(2, 1, 0))
-        assert metrics._mean_vertex_distance(a, b_planes).tolist() == want
+        a_planes, b_planes = a.transpose(2, 1, 0)[..., None], b.transpose(2, 1, 0)[:, :, None]
+        assert metrics._vertex_mean(metrics._distances(a_planes, b_planes)).tolist() == want
         assert dtw(a[:1], b[:1]).distance == want[0][0]
 
     def test_ldtw_equals_loop_oracle_at_benchmark_shape(self):
@@ -353,16 +353,32 @@ class TestLdtw:
         assert ldtw(gt, pred, lips) == pytest.approx(ldtw(pred, gt, lips), abs=1e-12)
 
     def test_bounded_by_diagonal_path_cost(self):
+        # D is at most the diagonal path's cost, LVE's frame-order sum, and
+        # the path has at least T steps, so LDTW <= LVE holds in floats too.
+        # Noise from far below to far above the frame steps puts the optimal
+        # path on the diagonal, next to it and away from it
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            gt, pred = rand_seq(rng, 6, 4), rand_seq(rng, 6, 4)
-            lips = VertexRegionMask(np.array([1, 2]))
-            g = np.asarray(gt.frames)[:, lips.indices]
-            p = np.asarray(pred.frames)[:, lips.indices]
-            diag_costs = [
-                float(np.mean(np.linalg.norm(g[t] - p[t], axis=-1))) for t in range(6)
-            ]
-            assert ldtw(gt, pred, lips) <= np.mean(diag_costs) + 1e-12
+        for _ in range(120):
+            num_frames, num_lips = int(rng.integers(2, 61)), int(rng.integers(1, 30))
+            gt = seq(np.cumsum(rng.normal(0.0, 1.0, (num_frames, num_lips, 3)), axis=0))
+            noise = 10.0 ** rng.uniform(-4.0, 1.0)
+            pred = seq(gt.frames + rng.normal(0.0, noise, gt.frames.shape))
+            lips = VertexRegionMask.full(num_lips)
+            assert ldtw(gt, pred, lips) <= evaluate(gt, pred, lips).lve
+
+    def test_equals_lve_on_a_small_constant_offset(self):
+        # an offset far below every frame step keeps the optimal path on the
+        # diagonal, whose cost per step is the LVE
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            num_frames, num_lips = int(rng.integers(20, 121)), int(rng.integers(1, 30))
+            gt = seq(np.cumsum(rng.normal(0.0, 1.0, (num_frames, num_lips, 3)), axis=0))
+            offset = rng.normal(0.0, 1e-3 / num_frames, 3)
+            pred = seq(gt.frames + offset)
+            lips = VertexRegionMask.full(num_lips)
+            result = dtw(gt.frames, pred.frames)
+            assert result.path == tuple((t, t) for t in range(num_frames))
+            assert ldtw(gt, pred, lips) == evaluate(gt, pred, lips).lve
 
 
 class TestEvaluate:
@@ -376,6 +392,34 @@ class TestEvaluate:
         errors = np.linalg.norm(gt.frames - pred.frames, axis=2)
         assert report.fve == pytest.approx(np.mean(errors), abs=1e-9)
         assert report.lve == pytest.approx(np.mean(report.per_frame_lve), abs=1e-9)
+
+    def test_per_frame_lve_is_the_dtw_diagonal(self):
+        # each frame's LVE is the local cost DTW gives that pair of frames
+        # (a lone cell's cost); the first case has the benchmark's shape
+        rng = np.random.default_rng(2)
+        for case in range(20):
+            num_frames = 120 if case == 0 else int(rng.integers(1, 40))
+            num_vertices = 60 if case == 0 else int(rng.integers(1, 65))
+            count = 20 if case == 0 else int(rng.integers(1, num_vertices + 1))
+            lips = VertexRegionMask(np.sort(rng.choice(num_vertices, count, replace=False)))
+            gt, pred = rand_seq(rng, num_frames, num_vertices), rand_seq(rng, num_frames, num_vertices)
+            a, b = gt.frames[:, lips.indices], pred.frames[:, lips.indices]
+            want = [dtw(a[t : t + 1], b[t : t + 1]).distance for t in range(num_frames)]
+            assert evaluate(gt, pred, lips).per_frame_lve.tolist() == want
+
+    def test_frame_errors_peak_memory_is_a_block(self):
+        # one block of distances and its lip rows, plus the (3, T) output;
+        # whole-track (T, V, 3) temporaries would take 4.3 MB each
+        rng = np.random.default_rng(3)
+        gt, pred = rand_seq(rng, 3000, 60), rand_seq(rng, 3000, 60)
+        lips = VertexRegionMask(np.arange(0, 60, 3))
+        tracemalloc.start()
+        try:
+            metrics._vertex_errors(gt, pred, lips)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * mesh._BLOCK_ELEMENTS * 8 + 3 * 3000 * 8
 
     def test_zero_iff_identical(self):
         rng = np.random.default_rng(1)
